@@ -10,11 +10,23 @@
 // per interval.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "faults/fault_plan.hpp"
 
 namespace perdnn {
+
+/// Unordered link id: a degraded backhaul link's capacity is shared by both
+/// directions, so per-interval link usage is keyed by the unordered pair.
+inline std::uint64_t link_key(ServerId a, ServerId b) {
+  const auto lo =
+      static_cast<std::uint64_t>(static_cast<std::uint32_t>(std::min(a, b)));
+  const auto hi =
+      static_cast<std::uint64_t>(static_cast<std::uint32_t>(std::max(a, b)));
+  return (hi << 32) | lo;
+}
 
 /// One state-change edge in the interval-indexed view of a fault class:
 /// `begins` is true at a window's first interval and false at its exclusive

@@ -15,7 +15,7 @@
 #include "common/flat_map.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "edge/shard_retry.hpp"
+#include "edge/migration_dispatcher.hpp"
 #include "faults/fault_timeline.hpp"
 #include "geo/point.hpp"
 #include "obs/stream_writer.hpp"
@@ -130,20 +130,18 @@ struct RowAcc {
   int cache_partial_stores = 0;
 };
 
-/// Unordered link id: a degraded backhaul link's capacity is shared by both
-/// directions (same keying as the trace-replay engine).
-std::uint64_t link_key(ServerId a, ServerId b) {
-  const auto lo =
-      static_cast<std::uint64_t>(static_cast<std::uint32_t>(std::min(a, b)));
-  const auto hi =
-      static_cast<std::uint64_t>(static_cast<std::uint32_t>(std::max(a, b)));
-  return (hi << 32) | lo;
-}
-
 class ShardEngine {
  public:
+  // The retry queue's journal sink captures `this`: not copyable/movable.
+  ShardEngine(const ShardEngine&) = delete;
+  ShardEngine& operator=(const ShardEngine&) = delete;
   ShardEngine(const ShardWorld& world, const ShardRunOptions& options)
-      : w_(world), cfg_(world.config), opt_(options) {
+      : w_(world),
+        cfg_(world.config),
+        opt_(options),
+        retry_(cfg_.migration_retry, cfg_.num_servers(),
+               cfg_.retry_queue_cap,
+               [this](const obs::JournalEvent& e) { journal(e); }) {
     const auto n = static_cast<std::size_t>(cfg_.num_clients);
     const auto s = static_cast<std::size_t>(cfg_.num_servers());
     K_ = static_cast<int>(w_.canonical_order.size());
@@ -227,8 +225,6 @@ class ShardEngine {
     bufs_.resize(static_cast<std::size_t>(num_shards_));
     buckets_.resize(static_cast<std::size_t>(num_shards_));
 
-    retry_ = ShardRetryQueue(cfg_.migration_retry, cfg_.num_servers(),
-                             cfg_.retry_queue_cap);
     faults_ = !cfg_.fault_plan.empty();
     if (faults_) {
       ft_ = FaultTimeline(cfg_.fault_plan, cfg_.num_servers(),
@@ -290,12 +286,12 @@ class ShardEngine {
   void compute_shed();
   void apply_shed(const Event& e, int t);
   void push_faulted(const Event& e, int t);
+  int fit_degraded(ServerId source, ServerId target, double factor,
+                   int old_prefix, int want);
   void deliver_push(ClientId c, ServerId source, ServerId target,
-                    int old_prefix, int new_prefix, int t);
+                    int old_prefix, int new_prefix, int want, int t);
   void defer_push(ClientId c, ServerId source, ServerId target, int want,
                   Bytes bytes, int t);
-  bool park_or_drop(ShardRetryOrder order, int t);
-  void drop_order(const ShardRetryOrder& order, int t, std::int32_t reason);
   void retry_deferred(int t);
 
   // -- checkpoint / resume ---------------------------------------------------
@@ -361,7 +357,7 @@ class ShardEngine {
   int backhaul_count_ = 0;
   bool backhaul_now_ = false;
   std::unordered_map<std::uint64_t, Bytes> link_used_;  // per-interval caps
-  ShardRetryQueue retry_;
+  PrefixDispatcher retry_;
   // Degraded (stale-telemetry) cold tables, parallel to cold_queries_;
   // filled only when the plan scripts a telemetry dropout.
   std::vector<long long> dcold_queries_;
@@ -1207,13 +1203,10 @@ void ShardEngine::push_faulted(const Event& e, int t) {
           ? w_.prefix_bytes[static_cast<std::size_t>(want)] -
                 w_.prefix_bytes[static_cast<std::size_t>(old_prefix)]
           : 0;
-  if (down_[static_cast<std::size_t>(e.peer)] != 0) {
-    if (bytes_needed > 0)
-      defer_push(e.client, e.server, e.peer, want, bytes_needed, t);
-    return;
-  }
   const double factor =
-      backhaul_now_ ? ft_.backhaul_factor(e.server, e.peer, t) : 1.0;
+      down_[static_cast<std::size_t>(e.peer)] != 0 ? 0.0
+      : backhaul_now_ ? ft_.backhaul_factor(e.server, e.peer, t)
+                      : 1.0;
   if (factor <= 0.0) {
     if (bytes_needed > 0)
       defer_push(e.client, e.server, e.peer, want, bytes_needed, t);
@@ -1221,33 +1214,37 @@ void ShardEngine::push_faulted(const Event& e, int t) {
   }
   int p = want;
   if (factor < 1.0 && bytes_needed > 0) {
-    const auto cap = static_cast<Bytes>(factor * cfg_.backhaul_bytes_per_sec *
-                                        cfg_.interval_s);
-    Bytes& used = link_used_[link_key(e.server, e.peer)];
-    p = old_prefix;
-    while (p < want &&
-           used + (w_.prefix_bytes[static_cast<std::size_t>(p + 1)] -
-                   w_.prefix_bytes[static_cast<std::size_t>(old_prefix)]) <=
-               cap)
-      ++p;
+    p = fit_degraded(e.server, e.peer, factor, old_prefix, want);
     if (p == old_prefix) {
       ++metrics_.migrations_truncated;
       defer_push(e.client, e.server, e.peer, want, bytes_needed, t);
       return;
     }
-    used += w_.prefix_bytes[static_cast<std::size_t>(p)] -
-            w_.prefix_bytes[static_cast<std::size_t>(old_prefix)];
   }
-  deliver_push(e.client, e.server, e.peer, old_prefix, p, t);
-  if (p < want)
-    defer_push(e.client, e.server, e.peer, want,
-               w_.prefix_bytes[static_cast<std::size_t>(want)] -
-                   w_.prefix_bytes[static_cast<std::size_t>(p)],
-               t);
+  deliver_push(e.client, e.server, e.peer, old_prefix, p, want, t);
+}
+
+int ShardEngine::fit_degraded(ServerId source, ServerId target, double factor,
+                              int old_prefix, int want) {
+  // The longest prefix up to `want` whose bytes still fit the link's shared
+  // capacity this interval; the fitted bytes are charged to the link.
+  // Returns old_prefix when not even one more layer fits.
+  const auto cap = static_cast<Bytes>(factor * cfg_.backhaul_bytes_per_sec *
+                                      cfg_.interval_s);
+  Bytes& used = link_used_[link_key(source, target)];
+  const Bytes base = w_.prefix_bytes[static_cast<std::size_t>(old_prefix)];
+  int p = old_prefix;
+  while (p < want &&
+         used + (w_.prefix_bytes[static_cast<std::size_t>(p + 1)] - base) <=
+             cap)
+    ++p;
+  used += w_.prefix_bytes[static_cast<std::size_t>(p)] - base;
+  return p;
 }
 
 void ShardEngine::deliver_push(ClientId c, ServerId source, ServerId target,
-                               int old_prefix, int new_prefix, int t) {
+                               int old_prefix, int new_prefix, int want,
+                               int t) {
   int p = new_prefix;
   if (budget_ > 0 && p > old_prefix) p = admit(target, c, old_prefix, p, t);
   auto& entry = cache_[static_cast<std::size_t>(target)][c];
@@ -1272,122 +1269,55 @@ void ShardEngine::deliver_push(ClientId c, ServerId source, ServerId target,
            .peer = target,
            .bytes = bytes,
            .aux = std::max(0, p - old_prefix)});
+  // A degraded link carried only part of the order: park the rest.
+  if (new_prefix < want)
+    defer_push(c, source, target, want,
+               w_.prefix_bytes[static_cast<std::size_t>(want)] -
+                   w_.prefix_bytes[static_cast<std::size_t>(new_prefix)],
+               t);
 }
 
 void ShardEngine::defer_push(ClientId c, ServerId source, ServerId target,
                              int want, Bytes bytes, int t) {
-  const ShardRetryOrder order{.client = c,
-                              .source = source,
-                              .target = target,
-                              .prefix = static_cast<std::uint16_t>(want),
-                              .bytes = bytes,
-                              .attempts = 1};
-  if (park_or_drop(order, t)) {
-    ++metrics_.migrations_deferred;
-    metrics_.deferred_migration_bytes += bytes;
+  if (retry_.defer(c, source, target, static_cast<std::uint16_t>(want), bytes,
+                   t))
     acc_[static_cast<std::size_t>(source)].deferred += bytes;
-  }
-}
-
-bool ShardEngine::park_or_drop(ShardRetryOrder order, int t) {
-  if (retry_.budget_spent(order.attempts)) {
-    drop_order(order, t, obs::kDropRetryBudget);
-    return false;
-  }
-  if (retry_.full(order.source)) {
-    drop_order(order, t, obs::kDropQueueFull);
-    return false;
-  }
-  order.next_attempt_interval = t + retry_.backoff_after(order.attempts);
-  journal({.interval = t,
-           .kind = obs::JournalEventKind::kMigrationDeferred,
-           .client = order.client,
-           .server = order.source,
-           .peer = order.target,
-           .bytes = order.bytes,
-           .detail = order.attempts,
-           .aux = order.next_attempt_interval});
-  retry_.park(order);
-  return true;
-}
-
-void ShardEngine::drop_order(const ShardRetryOrder& order, int t,
-                             std::int32_t reason) {
-  ++metrics_.migrations_abandoned;
-  metrics_.abandoned_migration_bytes += order.bytes;
-  journal({.interval = t,
-           .kind = obs::JournalEventKind::kMigrationDropped,
-           .client = order.client,
-           .server = order.source,
-           .peer = order.target,
-           .bytes = order.bytes,
-           .detail = order.attempts,
-           .aux = reason});
 }
 
 void ShardEngine::retry_deferred(int t) {
   if (retry_.backlog_orders() == 0) return;
-  for (const ShardRetryOrder& order : retry_.take_due(t)) {
-    ++metrics_.migration_retries;
-    journal({.interval = t,
-             .kind = obs::JournalEventKind::kMigrationRetried,
-             .client = order.client,
-             .server = order.source,
-             .peer = order.target,
-             .bytes = order.bytes,
-             .detail = order.attempts});
+  std::vector<PrefixDispatcher::Order> due = retry_.take_due(t);
+  sort_by_source(due);
+  for (const PrefixDispatcher::Order& order : due) {
+    retry_.journal_retry(order, t);
     if (down_[static_cast<std::size_t>(order.source)] != 0 ||
         down_[static_cast<std::size_t>(order.target)] != 0) {
-      park_or_drop(order, t);
+      retry_.fail(order, t);
       continue;
     }
     const CacheEntry* cur =
         cache_[static_cast<std::size_t>(order.target)].find(order.client);
     const int old_prefix = cur != nullptr ? cur->prefix : 0;
-    const int want = order.prefix;
+    const int want = order.payload;
     if (want <= old_prefix) {
       // The layers arrived by other means while the order was parked.
-      journal({.interval = t,
-               .kind = obs::JournalEventKind::kMigrationDropped,
-               .client = order.client,
-               .server = order.source,
-               .peer = order.target,
-               .bytes = order.bytes,
-               .detail = order.attempts,
-               .aux = obs::kDropDissolved});
+      retry_.dissolve(order, t);
       continue;
     }
     const double factor =
         backhaul_now_ ? ft_.backhaul_factor(order.source, order.target, t)
                       : 1.0;
-    if (factor <= 0.0) {
-      park_or_drop(order, t);
+    const int p =
+        factor <= 0.0  ? old_prefix
+        : factor < 1.0 ? fit_degraded(order.source, order.target, factor,
+                                      old_prefix, want)
+                       : want;
+    if (p == old_prefix) {
+      retry_.fail(order, t);
       continue;
     }
-    int p = want;
-    if (factor < 1.0) {
-      const auto cap = static_cast<Bytes>(
-          factor * cfg_.backhaul_bytes_per_sec * cfg_.interval_s);
-      Bytes& used = link_used_[link_key(order.source, order.target)];
-      p = old_prefix;
-      while (p < want &&
-             used + (w_.prefix_bytes[static_cast<std::size_t>(p + 1)] -
-                     w_.prefix_bytes[static_cast<std::size_t>(old_prefix)]) <=
-                 cap)
-        ++p;
-      if (p == old_prefix) {
-        park_or_drop(order, t);
-        continue;
-      }
-      used += w_.prefix_bytes[static_cast<std::size_t>(p)] -
-              w_.prefix_bytes[static_cast<std::size_t>(old_prefix)];
-    }
-    deliver_push(order.client, order.source, order.target, old_prefix, p, t);
-    if (p < want)
-      defer_push(order.client, order.source, order.target, want,
-                 w_.prefix_bytes[static_cast<std::size_t>(want)] -
-                     w_.prefix_bytes[static_cast<std::size_t>(p)],
-                 t);
+    deliver_push(order.client, order.source, order.target, old_prefix, p,
+                 want, t);
   }
 }
 
@@ -1588,22 +1518,25 @@ void ShardEngine::restore_from(const snapshot::SimSnapshot& snap) {
       s.retry_attempts.size() != nr || s.retry_next_attempt.size() != nr)
     throw snapshot::SnapshotError(
         "snapshot: retry-queue arrays misaligned");
-  std::vector<ShardRetryOrder> orders;
-  orders.reserve(nr);
+  // The whole-run retry tallies travel in the metrics block.
+  PrefixDispatcher::State retry;
+  retry.tallies = snap.metrics.retry_tallies();
+  retry.queue.reserve(nr);
   for (std::size_t i = 0; i < nr; ++i) {
     if (s.retry_source[i] < 0 || s.retry_source[i] >= cfg_.num_servers() ||
         s.retry_target[i] < 0 || s.retry_target[i] >= cfg_.num_servers() ||
         s.retry_client[i] < 0 || s.retry_client[i] >= cfg_.num_clients)
       throw snapshot::SnapshotError("snapshot: retry order out of range");
-    orders.push_back({.client = s.retry_client[i],
-                      .source = s.retry_source[i],
-                      .target = s.retry_target[i],
-                      .prefix = static_cast<std::uint16_t>(s.retry_prefix[i]),
-                      .bytes = s.retry_bytes[i],
-                      .attempts = s.retry_attempts[i],
-                      .next_attempt_interval = s.retry_next_attempt[i]});
+    retry.queue.push_back(
+        {.client = s.retry_client[i],
+         .source = s.retry_source[i],
+         .target = s.retry_target[i],
+         .payload = static_cast<std::uint16_t>(s.retry_prefix[i]),
+         .bytes = s.retry_bytes[i],
+         .attempts = s.retry_attempts[i],
+         .next_attempt_interval = s.retry_next_attempt[i]});
   }
-  retry_.restore(orders);
+  retry_.restore(retry);
   replay_fault_edges(start);
 
   if (!opt_.timeseries_path.empty())
@@ -1629,6 +1562,7 @@ snapshot::SimSnapshot ShardEngine::capture(int next_interval) {
   snap.next_interval = next_interval;
   snap.num_intervals = cfg_.num_intervals;
   snap.metrics = metrics_;
+  snap.metrics.set_retry_tallies(retry_.tallies());
   snap.has_timeseries = ts_ != nullptr;
   snap.has_journal = jr_ != nullptr;
   snap.has_shard = true;
@@ -1667,11 +1601,13 @@ snapshot::SimSnapshot ShardEngine::capture(int next_interval) {
   s.peak_downlink_mbps = peak_down_;
   s.best_interval_bytes = best_interval_bytes_;
   s.best_interval_fraction = best_interval_fraction_;
-  for (const ShardRetryOrder& order : retry_.flatten()) {
+  std::vector<PrefixDispatcher::Order> parked = retry_.state().queue;
+  sort_by_source(parked);
+  for (const PrefixDispatcher::Order& order : parked) {
     s.retry_client.push_back(order.client);
     s.retry_source.push_back(order.source);
     s.retry_target.push_back(order.target);
-    s.retry_prefix.push_back(order.prefix);
+    s.retry_prefix.push_back(order.payload);
     s.retry_bytes.push_back(order.bytes);
     s.retry_attempts.push_back(order.attempts);
     s.retry_next_attempt.push_back(order.next_attempt_interval);
@@ -1787,6 +1723,7 @@ SimulationMetrics ShardEngine::run() {
   metrics_.fraction_servers_within_100mbps_at_peak =
       best_interval_bytes_ >= 0 ? best_interval_fraction_ : 1.0;
   metrics_.server_peak_uplink_mbps = peak_up_;
+  metrics_.set_retry_tallies(retry_.tallies());
   metrics_.num_servers = cfg_.num_servers();
   metrics_.num_clients = cfg_.num_clients;
   metrics_.num_intervals = cfg_.num_intervals;

@@ -212,6 +212,9 @@ struct LoadLevelCache {
 
 class SimulatorImpl {
  public:
+  // The retry queue's journal sink captures `this`: not copyable/movable.
+  SimulatorImpl(const SimulatorImpl&) = delete;
+  SimulatorImpl& operator=(const SimulatorImpl&) = delete;
   SimulatorImpl(const SimulationConfig& config, const SimulationWorld& world,
                 obs::SimTimeseries* timeseries, obs::Journal* journal)
       : config_(config),
@@ -223,7 +226,11 @@ class SimulatorImpl {
         traffic_(world.servers.num_servers(), world.interval),
         crowded_(static_cast<std::size_t>(world.servers.num_servers()),
                  false),
-        dispatcher_(config.migration_retry) {
+        dispatcher_(config.migration_retry, world.servers.num_servers(),
+                    LayerDispatcher::kUnbounded,
+                    [this](const obs::JournalEvent& e) {
+                      if (journal_ != nullptr) journal_->record(e);
+                    }) {
     for (ServerId s : config.crowded_servers) {
       PERDNN_CHECK(s >= 0 && s < world.servers.num_servers());
       crowded_[static_cast<std::size_t>(s)] = true;
@@ -279,7 +286,6 @@ class SimulatorImpl {
                               static_cast<int>(clients_.size()));
     fault_plan_ = std::move(plan);
     if (journal_ != nullptr) {
-      dispatcher_.set_journal(journal_);
       for (ServerId s = 0; s < world.servers.num_servers(); ++s)
         caches_[static_cast<std::size_t>(s)].set_journal(journal_, s);
     }
@@ -394,7 +400,7 @@ class SimulatorImpl {
   TrafficAccountant traffic_;
   std::vector<bool> crowded_;
   FaultTimeline timeline_;
-  MigrationDispatcher dispatcher_;
+  LayerDispatcher dispatcher_;
   int num_intervals_ = 0;
   std::vector<LayerCache> caches_;
   std::vector<int> attached_;
@@ -878,18 +884,6 @@ void SimulatorImpl::apply_faults(int interval_index) {
   }
 }
 
-namespace {
-/// Unordered link id: the capacity of a degraded backhaul link is shared by
-/// both directions.
-std::uint64_t link_key(ServerId a, ServerId b) {
-  const auto lo =
-      static_cast<std::uint64_t>(static_cast<std::uint32_t>(std::min(a, b)));
-  const auto hi =
-      static_cast<std::uint64_t>(static_cast<std::uint32_t>(std::max(a, b)));
-  return (hi << 32) | lo;
-}
-}  // namespace
-
 SimulatorImpl::PushResult SimulatorImpl::push_layers(
     ClientId c, ServerId source, ServerId target,
     std::vector<LayerId> layers, int interval_index) {
@@ -962,13 +956,18 @@ void SimulatorImpl::defer_layers(ClientId c, ServerId source, ServerId target,
                                  int interval_index) {
   Bytes bytes = 0;
   for (LayerId id : layers) bytes += world_.model.layer(id).weight_bytes;
-  if (timeseries_ != nullptr) timeseries_->record_deferred(source, bytes);
-  dispatcher_.defer(c, source, target, std::move(layers), bytes,
-                    interval_index);
+  if (dispatcher_.defer(c, source, target, std::move(layers), bytes,
+                        interval_index) &&
+      timeseries_ != nullptr)
+    timeseries_->record_deferred(source, bytes);
 }
 
 void SimulatorImpl::retry_deferred_migrations(int interval_index) {
-  for (DeferredMigration& order : dispatcher_.due(interval_index)) {
+  std::vector<LayerDispatcher::Order> due =
+      dispatcher_.take_due(interval_index);
+  for (const LayerDispatcher::Order& order : due)
+    dispatcher_.journal_retry(order, interval_index);
+  for (LayerDispatcher::Order& order : due) {
     // A crashed endpoint can't take part: the target lost its radio, the
     // source lost the cache it was supposed to ship from.
     if (timeline_.server_down(order.source, interval_index) ||
@@ -982,20 +981,11 @@ void SimulatorImpl::retry_deferred_migrations(int interval_index) {
         order.client, world_.model, lookup_mask_scratch_);
     const std::vector<bool>& source_mask = lookup_mask_scratch_;
     std::vector<LayerId> layers;
-    for (LayerId id : order.layers)
+    for (LayerId id : order.payload)
       if (source_mask[static_cast<std::size_t>(id)]) layers.push_back(id);
     if (layers.empty()) {
       // Nothing left to send: the order dissolves without a transfer.
-      if (journal_ != nullptr)
-        journal_->record({.interval = interval_index,
-                          .kind = obs::JournalEventKind::kMigrationDropped,
-                          .client = order.client,
-                          .server = order.source,
-                          .peer = order.target,
-                          .bytes = order.bytes,
-                          .detail = order.attempts,
-                          .aux = obs::kDropDissolved});
-      dispatcher_.succeed(order);
+      dispatcher_.dissolve(order, interval_index);
       continue;
     }
     PushResult result = push_layers(order.client, order.source, order.target,
@@ -1004,7 +994,6 @@ void SimulatorImpl::retry_deferred_migrations(int interval_index) {
       dispatcher_.fail(std::move(order), interval_index);
       continue;
     }
-    dispatcher_.succeed(order);
     obs::count("sim.migration.orders");
     if (timeseries_ != nullptr)
       timeseries_->record_migration(order.source, order.target,
@@ -1522,11 +1511,7 @@ SimulationMetrics SimulatorImpl::run(const SimulationRunOptions& options) {
   }
   traffic_.finish();
 
-  metrics_.migrations_deferred = dispatcher_.deferred_orders();
-  metrics_.migration_retries = dispatcher_.retries();
-  metrics_.migrations_abandoned = dispatcher_.abandoned_orders();
-  metrics_.deferred_migration_bytes = dispatcher_.total_deferred_bytes();
-  metrics_.abandoned_migration_bytes = dispatcher_.abandoned_bytes();
+  metrics_.set_retry_tallies(dispatcher_.tallies());
 
   metrics_.peak_uplink_mbps = traffic_.global_peak_uplink_mbps();
   metrics_.peak_downlink_mbps = traffic_.global_peak_downlink_mbps();

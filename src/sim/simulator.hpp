@@ -182,10 +182,10 @@ struct SimulationMetrics {
   /// engine's overload shedding); the client spent the interval on the
   /// local fallback instead.
   int attaches_shed = 0;
-  // Migration retry/backoff accounting (mirrors MigrationDispatcher).
+  // Migration retry/backoff accounting: the dispatcher's RetryTallies.
   int migrations_deferred = 0;   ///< orders parked at least once
   int migration_retries = 0;     ///< delivery re-attempts popped from the queue
-  int migrations_abandoned = 0;  ///< orders dropped after the attempt budget
+  int migrations_abandoned = 0;  ///< dropped: attempt budget or queue full
   /// Fractional-cap truncations to nothing: a crowded endpoint's byte budget
   /// was smaller than every candidate layer, so an otherwise-sendable order
   /// shipped zero layers and was dropped instead of silently issued.
@@ -193,6 +193,22 @@ struct SimulationMetrics {
   Bytes deferred_migration_bytes = 0;   ///< bytes ever parked in the queue
   Bytes abandoned_migration_bytes = 0;  ///< bytes of abandoned orders
   Bytes peak_deferred_backlog_bytes = 0;  ///< max parked bytes at interval end
+
+  /// The five retry fields above as the retry queue's RetryTallies.
+  RetryTallies retry_tallies() const {
+    return {.deferred_orders = migrations_deferred,
+            .deferred_bytes = deferred_migration_bytes,
+            .retries = migration_retries,
+            .abandoned_orders = migrations_abandoned,
+            .abandoned_bytes = abandoned_migration_bytes};
+  }
+  void set_retry_tallies(const RetryTallies& t) {
+    migrations_deferred = t.deferred_orders;
+    deferred_migration_bytes = t.deferred_bytes;
+    migration_retries = t.retries;
+    migrations_abandoned = t.abandoned_orders;
+    abandoned_migration_bytes = t.abandoned_bytes;
+  }
 
   // Budgeted layer caches (all zero when cache_budget_bytes is unset).
   long long cache_evictions = 0;       ///< entries displaced by the budget

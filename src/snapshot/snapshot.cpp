@@ -484,22 +484,22 @@ std::string encode(const SimSnapshot& snap) {
   }
 
   payload.count(snap.dispatcher.queue.size());
-  for (const DeferredMigration& order : snap.dispatcher.queue) {
+  for (const LayerDispatcher::Order& order : snap.dispatcher.queue) {
     payload.i32(order.client);
     payload.i32(order.source);
     payload.i32(order.target);
-    payload.count(order.layers.size());
-    for (LayerId id : order.layers) payload.i32(id);
+    payload.count(order.payload.size());
+    for (LayerId id : order.payload) payload.i32(id);
     payload.i64(order.bytes);
     payload.i32(order.attempts);
     payload.i32(order.next_attempt_interval);
   }
   payload.i64(snap.dispatcher.backlog_bytes);
-  payload.i64(snap.dispatcher.total_deferred_bytes);
-  payload.i64(snap.dispatcher.abandoned_bytes);
-  payload.i32(snap.dispatcher.deferred_orders);
-  payload.i32(snap.dispatcher.abandoned_orders);
-  payload.i32(snap.dispatcher.retries);
+  payload.i64(snap.dispatcher.tallies.deferred_bytes);
+  payload.i64(snap.dispatcher.tallies.abandoned_bytes);
+  payload.i32(snap.dispatcher.tallies.deferred_orders);
+  payload.i32(snap.dispatcher.tallies.abandoned_orders);
+  payload.i32(snap.dispatcher.tallies.retries);
 
   write_bytes_matrix(payload, snap.traffic.uplink_history);
   write_bytes_matrix(payload, snap.traffic.downlink_history);
@@ -575,22 +575,22 @@ SimSnapshot decode(const std::string& bytes) try {
   }
 
   snap.dispatcher.queue.resize(r.count(28));
-  for (DeferredMigration& order : snap.dispatcher.queue) {
+  for (LayerDispatcher::Order& order : snap.dispatcher.queue) {
     order.client = r.i32();
     order.source = r.i32();
     order.target = r.i32();
-    order.layers.resize(r.count(4));
-    for (LayerId& id : order.layers) id = r.i32();
+    order.payload.resize(r.count(4));
+    for (LayerId& id : order.payload) id = r.i32();
     order.bytes = r.i64();
     order.attempts = r.i32();
     order.next_attempt_interval = r.i32();
   }
   snap.dispatcher.backlog_bytes = r.i64();
-  snap.dispatcher.total_deferred_bytes = r.i64();
-  snap.dispatcher.abandoned_bytes = r.i64();
-  snap.dispatcher.deferred_orders = r.i32();
-  snap.dispatcher.abandoned_orders = r.i32();
-  snap.dispatcher.retries = r.i32();
+  snap.dispatcher.tallies.deferred_bytes = r.i64();
+  snap.dispatcher.tallies.abandoned_bytes = r.i64();
+  snap.dispatcher.tallies.deferred_orders = r.i32();
+  snap.dispatcher.tallies.abandoned_orders = r.i32();
+  snap.dispatcher.tallies.retries = r.i32();
 
   snap.traffic.uplink_history = read_bytes_matrix(r);
   snap.traffic.downlink_history = read_bytes_matrix(r);

@@ -4,7 +4,7 @@
 // from an interval boundary and still produce byte-identical metrics,
 // timeseries, and traffic output: the interval index, every salted RNG
 // stream (including the Box-Muller spare), per-server LayerCache entries
-// and TTLs, the MigrationDispatcher retry queue and backoff deadlines,
+// and TTLs, the migration retry queue and backoff deadlines,
 // client attachment/upload state, the TrafficAccountant histories, the
 // per-load GPU statistics behind the level caches (the only RNG-derived
 // planning state — estimates and plans are rebuilt deterministically on
@@ -138,7 +138,7 @@ struct SimSnapshot {
   /// Per-server cache entries, indexed by server id, entries sorted by
   /// client id.
   std::vector<std::vector<LayerCache::EntrySnapshot>> caches;
-  MigrationDispatcher::State dispatcher;
+  LayerDispatcher::State dispatcher;
   TrafficAccountant::State traffic;
   std::vector<int> attached;
   std::vector<ClientSnapshot> clients;

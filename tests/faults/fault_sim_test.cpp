@@ -260,6 +260,29 @@ TEST_F(FaultSimTest, BackhaulOutageDefersMigrationsAndRetriesDeliverThem) {
   }
 }
 
+TEST_F(FaultSimTest, MaxAttemptsOneAbandonsWithoutCountingDeferrals) {
+  // With no retry budget a blocked push is abandoned at its first deferral:
+  // it is never parked, so neither the metrics nor the timeseries count it
+  // as deferred.
+  std::vector<FaultEvent> events;
+  for (ServerId s = 0; s < num_servers(); ++s)
+    events.push_back({.kind = FaultKind::kBackhaulDegrade,
+                      .at_interval = 0,
+                      .duration_intervals = 6,
+                      .server = s,
+                      .peer = kAllServers,
+                      .severity = 1.0});
+  const RunResult result = run_with(FaultPlan(events), {.max_attempts = 1});
+  const SimulationMetrics& m = result.metrics;
+  EXPECT_GT(m.migrations_abandoned, 0);
+  EXPECT_GT(m.abandoned_migration_bytes, 0);
+  EXPECT_EQ(m.migrations_deferred, 0);
+  EXPECT_EQ(m.deferred_migration_bytes, 0);
+  EXPECT_EQ(m.migration_retries, 0);
+  EXPECT_EQ(m.peak_deferred_backlog_bytes, 0);
+  EXPECT_EQ(result.total_deferred_bytes, 0);
+}
+
 TEST_F(FaultSimTest, PartialBackhaulDegradationStillDeliversSomething) {
   // Severity 0.5 halves the per-link budget instead of killing it: some
   // bytes cross during the window, anything over the cap is deferred.

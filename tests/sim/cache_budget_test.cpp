@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -24,6 +25,7 @@
 #include "sim/shard_world.hpp"
 #include "sim/simulator.hpp"
 #include "snapshot/snapshot.hpp"
+#include "test_paths.hpp"
 
 namespace perdnn {
 namespace {
@@ -242,11 +244,16 @@ class ShardCacheBudgetTest : public ::testing::Test {
     par::set_num_threads(0);
   }
 
+  void TearDown() override {
+    std::remove(ts_path().c_str());
+    std::remove(jr_path().c_str());
+  }
+
   static std::string ts_path() {
-    return ::testing::TempDir() + "budget_ts.csv";
+    return unique_temp_path("budget_ts.csv");
   }
   static std::string jr_path() {
-    return ::testing::TempDir() + "budget_jr.jsonl";
+    return unique_temp_path("budget_jr.jsonl");
   }
 
   struct RunResult {

@@ -21,6 +21,7 @@
 #include "sim/shard_sim.hpp"
 #include "sim/shard_world.hpp"
 #include "snapshot/snapshot.hpp"
+#include "test_paths.hpp"
 
 namespace perdnn {
 namespace {
@@ -116,9 +117,14 @@ class ShardDeterminismTest : public ::testing::Test {
     par::set_num_threads(0);
   }
 
-  static std::string ts_path() { return ::testing::TempDir() + "shard_ts.csv"; }
+  void TearDown() override {
+    std::remove(ts_path().c_str());
+    std::remove(jr_path().c_str());
+  }
+
+  static std::string ts_path() { return unique_temp_path("shard_ts.csv"); }
   static std::string jr_path() {
-    return ::testing::TempDir() + "shard_jr.jsonl";
+    return unique_temp_path("shard_jr.jsonl");
   }
 
   static RunResult run_at(const ShardWorld& world, int threads, int shards) {

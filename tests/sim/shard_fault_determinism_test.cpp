@@ -25,6 +25,7 @@
 #include "sim/shard_sim.hpp"
 #include "sim/shard_world.hpp"
 #include "snapshot/snapshot.hpp"
+#include "test_paths.hpp"
 
 namespace perdnn {
 namespace {
@@ -187,11 +188,16 @@ class ShardFaultDeterminismTest : public ::testing::Test {
     par::set_num_threads(0);
   }
 
+  void TearDown() override {
+    std::remove(ts_path().c_str());
+    std::remove(jr_path().c_str());
+  }
+
   static std::string ts_path() {
-    return ::testing::TempDir() + "shard_fault_ts.csv";
+    return unique_temp_path("shard_fault_ts.csv");
   }
   static std::string jr_path() {
-    return ::testing::TempDir() + "shard_fault_jr.jsonl";
+    return unique_temp_path("shard_fault_jr.jsonl");
   }
 
   static RunResult run_at(const ShardWorld& world, int threads, int shards) {
@@ -288,6 +294,42 @@ TEST_F(ShardFaultDeterminismTest, SimdOffWorldProducesIdenticalRun) {
   EXPECT_EQ(on.metrics, off.metrics);
   EXPECT_EQ(on.timeseries, off.timeseries);
   EXPECT_EQ(on.journal, off.journal);
+}
+
+TEST_F(ShardFaultDeterminismTest,
+       MaxAttemptsOneAbandonsWithoutCountingDeferrals) {
+  // With no retry budget every blocked push is abandoned at once: nothing is
+  // parked, so nothing counts as deferred in the metrics or the timeseries.
+  ShardWorldConfig config = faulted_config();
+  config.migration_retry.max_attempts = 1;
+  const ShardWorld world = build_shard_world(config);
+  ShardRunOptions options;
+  options.num_shards = 4;
+  options.timeseries_path = ts_path();
+  const SimulationMetrics m = run_sharded_simulation(world, options);
+  EXPECT_GT(m.migrations_abandoned, 0);
+  EXPECT_GT(m.abandoned_migration_bytes, 0);
+  EXPECT_EQ(m.migrations_deferred, 0);
+  EXPECT_EQ(m.deferred_migration_bytes, 0);
+  EXPECT_EQ(m.migration_retries, 0);
+  EXPECT_EQ(m.peak_deferred_backlog_bytes, 0);
+
+  std::istringstream csv(slurp(ts_path()));
+  std::string line;
+  do {
+    std::getline(csv, line);
+  } while (line.starts_with("#"));  // schema/model comment lines
+  ASSERT_NE(line.find(",deferred_bytes,"), std::string::npos);
+  int rows = 0;
+  while (std::getline(csv, line)) {
+    std::istringstream fields(line);
+    std::string field;
+    for (int column = 0; column < 16; ++column)
+      std::getline(fields, field, ',');
+    EXPECT_EQ(field, "0") << line;  // column 16: deferred_bytes
+    ++rows;
+  }
+  EXPECT_GT(rows, 0);
 }
 
 TEST_F(ShardFaultDeterminismTest, ResumeMidBackoffRestoresRetryQueue) {

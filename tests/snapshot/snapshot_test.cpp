@@ -19,6 +19,7 @@
 #include "obs/journal.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/simulator.hpp"
+#include "test_paths.hpp"
 
 namespace perdnn {
 namespace {
@@ -264,7 +265,7 @@ TEST_F(SnapshotTest, JournalStateRoundTripsThroughTheWire) {
 
 TEST_F(SnapshotTest, SaveLoadRoundTripsThroughAFile) {
   const snapshot::SimSnapshot snap = checkpoint_at(*config_, 2, 1);
-  const std::string path = ::testing::TempDir() + "perdnn_snapshot_test.ckpt";
+  const std::string path = unique_temp_path("perdnn_snapshot_test.ckpt");
   snapshot::save(snap, path);
   const snapshot::SimSnapshot loaded = snapshot::load(path);
   EXPECT_EQ(snapshot::encode(loaded), snapshot::encode(snap));
@@ -437,8 +438,7 @@ TEST_F(SnapshotTest, PeriodicCheckpointingIsOutputNeutral) {
   const RunResult reference = full_run(*config_, 2);
   par::set_num_threads(2);
   obs::SimTimeseries timeseries;
-  const std::string path =
-      ::testing::TempDir() + "perdnn_snapshot_periodic.ckpt";
+  const std::string path = unique_temp_path("perdnn_snapshot_periodic.ckpt");
   SimulationRunOptions options;
   options.checkpoint_every = 3;
   options.checkpoint_path = path;

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Builds the repo with ASan+UBSan (-DPERDNN_SANITIZE=address) and runs the
 # robustness surface under it: the fault-plan/timeline unit tests, the
-# migration-dispatcher retry tests, the end-to-end fault simulations, the
-# fault-plan determinism gates (serial and sharded), and bench_chaos smoke
+# tests of the retry queue both engines share (MigrationDispatcherTest,
+# including its backoff-overflow case), the end-to-end fault simulations,
+# the fault-plan determinism gates (serial and sharded), and bench_chaos smoke
 # runs (sweep + scripted plan + sharded fault scenario + strict-flag
 # rejection). A second leg rebuilds with -DPERDNN_SIMD=OFF and re-runs the
 # sharded fault suite so the scalar kernels get the same sanitizer coverage
@@ -26,7 +27,7 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
 export PERDNN_THREADS=4
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1}"
 
-CHAOS_TESTS='FaultPlan|FaultTimeline|FaultSim|MigrationDispatcher|LayerCache|ParallelDeterminism|SimulationConfigValidate|SimulationMetricsFault|ShardDeterminism|ShardFault|ShardRetry|CacheBudget'
+CHAOS_TESTS='FaultPlan|FaultTimeline|FaultSim|MigrationDispatcher|LayerCache|ParallelDeterminism|SimulationConfigValidate|SimulationMetricsFault|ShardDeterminism|ShardFault|CacheBudget'
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -R "$CHAOS_TESTS"
 
