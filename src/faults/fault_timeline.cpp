@@ -2,152 +2,150 @@
 
 #include <algorithm>
 
-#include "common/check.hpp"
-
 namespace perdnn {
 
 FaultTimeline::FaultTimeline(const FaultPlan& plan, int num_servers,
                              int num_clients) {
   plan.check_bounds(num_servers, num_clients);
   empty_ = plan.empty();
-  server_down_.resize(static_cast<std::size_t>(num_servers));
-  telemetry_down_.resize(static_cast<std::size_t>(num_servers));
-  backhaul_.resize(static_cast<std::size_t>(num_servers));
-  client_offline_.resize(static_cast<std::size_t>(num_clients));
+  if (empty_) return;
+  down_.assign(static_cast<std::size_t>(num_servers), 0);
+  telemetry_.assign(static_cast<std::size_t>(num_servers), 0);
+  offline_.assign(static_cast<std::size_t>(num_clients), 0);
+  links_.resize(static_cast<std::size_t>(num_servers));
 
+  // The plan is time-sorted, so recording each event's applied record and
+  // then its cleared record and stable-sorting by interval leaves every
+  // interval's boundary records in plan order.
   for (const FaultEvent& e : plan.events()) {
-    const Window window{e.at_interval, e.at_interval + e.duration_intervals};
+    const int end = e.at_interval + e.duration_intervals;
+    const auto code = static_cast<std::int32_t>(e.kind);
+    records_.push_back({.interval = e.at_interval,
+                        .kind = obs::JournalEventKind::kFaultApplied,
+                        .client = e.client,
+                        .server = e.server,
+                        .peer = e.peer,
+                        .detail = code,
+                        .aux = e.duration_intervals,
+                        .value = e.severity});
+    records_.push_back({.interval = end,
+                        .kind = obs::JournalEventKind::kFaultCleared,
+                        .client = e.client,
+                        .server = e.server,
+                        .peer = e.peer,
+                        .detail = code});
+
+    Track track = Track::kDown;
+    std::int32_t id = e.server;
     switch (e.kind) {
       case FaultKind::kServerCrash:
-        server_down_[static_cast<std::size_t>(e.server)].push_back(window);
-        crash_starts_.push_back({e.at_interval, e.server});
         break;
       case FaultKind::kTelemetryDropout:
-        telemetry_down_[static_cast<std::size_t>(e.server)].push_back(window);
+        track = Track::kTelemetry;
+        break;
+      case FaultKind::kClientDisconnect:
+        track = Track::kOffline;
+        id = e.client;
         break;
       case FaultKind::kBackhaulDegrade: {
-        const LinkWindow link{window.start, window.end, e.peer,
-                              1.0 - e.severity};
-        backhaul_[static_cast<std::size_t>(e.server)].push_back(link);
+        track = Track::kBackhaul;
+        id = 0;
+        const LinkWindow link{e.at_interval, end, e.peer, 1.0 - e.severity};
+        links_[static_cast<std::size_t>(e.server)].push_back(link);
         if (e.peer != kAllServers) {
           // Mirror onto the other endpoint so factor lookups only need to
           // scan one endpoint's windows.
           LinkWindow mirrored = link;
           mirrored.peer = e.server;
-          backhaul_[static_cast<std::size_t>(e.peer)].push_back(mirrored);
+          links_[static_cast<std::size_t>(e.peer)].push_back(mirrored);
         }
-        backhaul_active_.push_back(window);
         break;
       }
-      case FaultKind::kClientDisconnect:
-        client_offline_[static_cast<std::size_t>(e.client)].push_back(window);
-        disconnect_starts_.push_back({e.at_interval, e.client});
-        break;
     }
+    edges_.push_back({e.at_interval, track, id, true});
+    edges_.push_back({end, track, id, false});
   }
-  // FaultPlan events are already time-sorted; the per-entity buckets and the
-  // start lists inherit that order, so the binary searches below are valid.
-  std::sort(crash_starts_.begin(), crash_starts_.end());
-  std::sort(disconnect_starts_.begin(), disconnect_starts_.end());
-
-  // Precompile the interval-indexed views: one begin edge at each window
-  // start, one end edge at its exclusive end. Per-interval consumers apply
-  // the edges_at() slice instead of rescanning windows — O(edges this
-  // interval) per interval instead of O(plan) per entity query.
-  const auto emit = [](std::vector<FaultEdge>& edges, int start, int end,
-                       std::int32_t id) {
-    edges.push_back({start, id, true});
-    edges.push_back({end, id, false});
-  };
-  for (ServerId s = 0; s < num_servers; ++s) {
-    for (const Window& w : server_down_[static_cast<std::size_t>(s)])
-      emit(server_down_edges_, w.start, w.end, s);
-    for (const Window& w : telemetry_down_[static_cast<std::size_t>(s)])
-      emit(telemetry_edges_, w.start, w.end, s);
-  }
-  for (ClientId c = 0; c < num_clients; ++c)
-    for (const Window& w : client_offline_[static_cast<std::size_t>(c)])
-      emit(client_offline_edges_, w.start, w.end, c);
-  for (const Window& w : backhaul_active_)
-    emit(backhaul_edges_, w.start, w.end, 0);
-  const auto order = [](const FaultEdge& a, const FaultEdge& b) {
+  std::stable_sort(records_.begin(), records_.end(),
+                   [](const obs::JournalEvent& a, const obs::JournalEvent& b) {
+                     return a.interval < b.interval;
+                   });
+  std::sort(edges_.begin(), edges_.end(), [](const Edge& a, const Edge& b) {
     if (a.interval != b.interval) return a.interval < b.interval;
+    if (a.track != b.track) return a.track < b.track;
     if (a.id != b.id) return a.id < b.id;
     return a.begins < b.begins;
-  };
-  std::sort(server_down_edges_.begin(), server_down_edges_.end(), order);
-  std::sort(telemetry_edges_.begin(), telemetry_edges_.end(), order);
-  std::sort(client_offline_edges_.begin(), client_offline_edges_.end(), order);
-  std::sort(backhaul_edges_.begin(), backhaul_edges_.end(), order);
+  });
 }
 
-std::pair<const FaultEdge*, const FaultEdge*> FaultTimeline::edges_at(
-    const std::vector<FaultEdge>& edges, int interval) {
-  const auto lo = std::lower_bound(
-      edges.begin(), edges.end(), interval,
-      [](const FaultEdge& e, int t) { return e.interval < t; });
-  auto hi = lo;
-  while (hi != edges.end() && hi->interval == interval) ++hi;
-  return {edges.data() + (lo - edges.begin()), edges.data() + (hi - edges.begin())};
+void FaultTimeline::apply(const Edge& edge) {
+  const std::int32_t delta = edge.begins ? 1 : -1;
+  const auto id = static_cast<std::size_t>(edge.id);
+  switch (edge.track) {
+    case Track::kDown:
+      down_[id] += delta;
+      break;
+    case Track::kTelemetry:
+      telemetry_[id] += delta;
+      break;
+    case Track::kOffline:
+      offline_[id] += delta;
+      break;
+    case Track::kBackhaul:
+      backhaul_ += delta;
+      break;
+  }
 }
 
-bool FaultTimeline::in_any(const std::vector<Window>& windows, int interval) {
-  for (const Window& w : windows)
-    if (w.start <= interval && interval < w.end) return true;
-  return false;
+void FaultTimeline::enter(int interval) {
+  if (empty_) return;
+  if (interval != interval_ + 1) {
+    // Cold entry: rebuild the counts from every edge before `interval`.
+    std::fill(down_.begin(), down_.end(), 0);
+    std::fill(telemetry_.begin(), telemetry_.end(), 0);
+    std::fill(offline_.begin(), offline_.end(), 0);
+    backhaul_ = 0;
+    next_edge_ = 0;
+    while (next_edge_ < edges_.size() &&
+           edges_[next_edge_].interval < interval)
+      apply(edges_[next_edge_++]);
+  }
+  interval_ = interval;
+
+  // This interval's slice: apply it, collecting crash and disconnect starts
+  // from its begin edges (already sorted by id within each track).
+  crash_starts_.clear();
+  disconnect_starts_.clear();
+  for (; next_edge_ < edges_.size() && edges_[next_edge_].interval == interval;
+       ++next_edge_) {
+    const Edge& edge = edges_[next_edge_];
+    apply(edge);
+    if (!edge.begins) continue;
+    if (edge.track == Track::kDown &&
+        (crash_starts_.empty() || crash_starts_.back() != edge.id))
+      crash_starts_.push_back(edge.id);
+    if (edge.track == Track::kOffline &&
+        (disconnect_starts_.empty() || disconnect_starts_.back() != edge.id))
+      disconnect_starts_.push_back(edge.id);
+  }
+
+  const auto [first, last] = std::equal_range(
+      records_.begin(), records_.end(), obs::JournalEvent{.interval = interval},
+      [](const obs::JournalEvent& a, const obs::JournalEvent& b) {
+        return a.interval < b.interval;
+      });
+  records_first_ = static_cast<std::size_t>(first - records_.begin());
+  records_last_ = static_cast<std::size_t>(last - records_.begin());
 }
 
-std::vector<ServerId> FaultTimeline::crashes_starting_at(int interval) const {
-  std::vector<ServerId> out;
-  const auto lo = std::lower_bound(crash_starts_.begin(), crash_starts_.end(),
-                                   std::make_pair(interval, ServerId{-1}));
-  for (auto it = lo; it != crash_starts_.end() && it->first == interval; ++it)
-    if (out.empty() || out.back() != it->second) out.push_back(it->second);
-  return out;
-}
-
-std::vector<ClientId> FaultTimeline::disconnects_starting_at(
-    int interval) const {
-  std::vector<ClientId> out;
-  const auto lo =
-      std::lower_bound(disconnect_starts_.begin(), disconnect_starts_.end(),
-                       std::make_pair(interval, ClientId{-1}));
-  for (auto it = lo; it != disconnect_starts_.end() && it->first == interval;
-       ++it)
-    if (out.empty() || out.back() != it->second) out.push_back(it->second);
-  return out;
-}
-
-bool FaultTimeline::server_down(ServerId server, int interval) const {
-  if (empty_) return false;
-  return in_any(server_down_[static_cast<std::size_t>(server)], interval);
-}
-
-bool FaultTimeline::telemetry_down(ServerId server, int interval) const {
-  if (empty_) return false;
-  return in_any(telemetry_down_[static_cast<std::size_t>(server)], interval);
-}
-
-bool FaultTimeline::client_offline(ClientId client, int interval) const {
-  if (empty_) return false;
-  return in_any(client_offline_[static_cast<std::size_t>(client)], interval);
-}
-
-double FaultTimeline::backhaul_factor(ServerId a, ServerId b,
-                                      int interval) const {
-  if (empty_) return 1.0;
+double FaultTimeline::backhaul_factor(ServerId a, ServerId b) const {
+  if (backhaul_ == 0) return 1.0;
   double factor = 1.0;
-  for (const LinkWindow& w : backhaul_[static_cast<std::size_t>(a)]) {
-    if (w.start > interval || interval >= w.end) continue;
+  for (const LinkWindow& w : links_[static_cast<std::size_t>(a)]) {
+    if (w.start > interval_ || interval_ >= w.end) continue;
     if (w.peer != kAllServers && w.peer != b) continue;
     factor = std::min(factor, w.factor);
   }
   return factor;
-}
-
-bool FaultTimeline::any_backhaul_fault(int interval) const {
-  if (empty_) return false;
-  return in_any(backhaul_active_, interval);
 }
 
 }  // namespace perdnn

@@ -1,20 +1,24 @@
-// Compiled runtime view of a FaultPlan: the per-interval queries the
-// simulator (and any other consumer driving a fleet through time) asks while
-// the clock advances. Events are bucketed per entity into sorted windows at
-// construction, so every query is a binary search over that entity's own
-// windows — O(log k) with k the number of faults scripted for it.
+// The fault clock: the one stateful runtime view of a FaultPlan that both
+// simulation engines advance once per interval. Every window is compiled at
+// construction into a begin edge at its first interval and an end edge at
+// its exclusive end, sorted by interval. enter(t) applies interval t's edge
+// slice to per-entity active counts (an entity is faulted while its count is
+// positive, which reproduces the union of overlapping windows exactly), so
+// the per-entity queries below are O(1) reads of the current interval's
+// state.
 //
-// The timeline is immutable and answers purely from the plan; consumers own
-// any *state* consequences (wiping a crashed server's cache, detaching its
-// clients) by iterating crashes_starting_at / disconnects_starting_at once
-// per interval.
+// The clock answers purely from the plan; consumers own any *state*
+// consequences (wiping a crashed server's cache, detaching its clients) by
+// iterating crash_starts() / disconnect_starts() after each enter().
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "faults/fault_plan.hpp"
+#include "obs/journal.hpp"
 
 namespace perdnn {
 
@@ -28,99 +32,87 @@ inline std::uint64_t link_key(ServerId a, ServerId b) {
   return (hi << 32) | lo;
 }
 
-/// One state-change edge in the interval-indexed view of a fault class:
-/// `begins` is true at a window's first interval and false at its exclusive
-/// end. Consumers keep a per-entity active *count* (an entity is faulted
-/// while its count is positive), which reproduces the union semantics of
-/// overlapping windows exactly. Edge lists are sorted by (interval, id), so
-/// walking the clock forward applies each interval's edges as one contiguous
-/// slice — no per-entity rescans of the plan.
-struct FaultEdge {
-  int interval = 0;
-  std::int32_t id = 0;  // server or client id; 0 for the global backhaul list
-  bool begins = false;
-};
-
 class FaultTimeline {
  public:
   /// Compiles `plan` for a world of the given size; bounds-checks every
-  /// event id (throws std::logic_error on an out-of-range entity).
+  /// event id (throws std::logic_error on an out-of-range entity). An empty
+  /// plan allocates no per-entity state.
   FaultTimeline(const FaultPlan& plan, int num_servers, int num_clients);
   /// Empty timeline: every query reports "healthy".
   FaultTimeline() = default;
 
   bool empty() const { return empty_; }
 
-  /// Crash events whose window opens exactly at `interval` (deduplicated,
-  /// sorted by server id) — the moment the cache is lost and clients drop.
-  std::vector<ServerId> crashes_starting_at(int interval) const;
-  /// Clients whose disconnect window opens exactly at `interval`.
-  std::vector<ClientId> disconnects_starting_at(int interval) const;
+  /// Advances the clock to `interval`. When it directly follows the last
+  /// interval entered only that interval's edges apply; otherwise (a resume,
+  /// or any jump) the counts are rebuilt from every edge up to `interval`,
+  /// so a fresh run and a resumed one reach identical state.
+  void enter(int interval);
 
-  bool server_down(ServerId server, int interval) const;
-  bool telemetry_down(ServerId server, int interval) const;
-  bool client_offline(ClientId client, int interval) const;
-
-  /// Remaining backhaul capacity fraction on the (unordered) link between
-  /// `a` and `b` during `interval`: 1.0 = healthy, 0.0 = outage. When
-  /// several events overlap the link, the worst (minimum) factor applies.
-  double backhaul_factor(ServerId a, ServerId b, int interval) const;
-
-  /// True if any backhaul event at all is active during `interval` — lets
-  /// consumers skip per-link accounting entirely on healthy intervals.
-  bool any_backhaul_fault(int interval) const;
-
-  // Interval-indexed edge lists, precompiled at construction for consumers
-  // that advance the clock one interval at a time (the sharded engine).
-  // Counting begins/ends per entity is equivalent to the per-entity window
-  // queries above — tests/faults/fault_timeline_index_test.cpp proves it.
-  const std::vector<FaultEdge>& server_down_edges() const {
-    return server_down_edges_;
+  // Queries about the interval last entered.
+  bool server_down(ServerId server) const {
+    return !empty_ && down_[static_cast<std::size_t>(server)] > 0;
   }
-  const std::vector<FaultEdge>& telemetry_edges() const {
-    return telemetry_edges_;
+  bool telemetry_down(ServerId server) const {
+    return !empty_ && telemetry_[static_cast<std::size_t>(server)] > 0;
   }
-  const std::vector<FaultEdge>& client_offline_edges() const {
-    return client_offline_edges_;
+  bool client_offline(ClientId client) const {
+    return !empty_ && offline_[static_cast<std::size_t>(client)] > 0;
   }
-  /// Backhaul window activity edges (id unused): a positive count means
-  /// any_backhaul_fault() is true for the interval.
-  const std::vector<FaultEdge>& backhaul_edges() const {
-    return backhaul_edges_;
-  }
+  /// True if any backhaul event at all is active — lets consumers skip
+  /// per-link accounting entirely on healthy intervals.
+  bool backhaul_active() const { return backhaul_ > 0; }
+  /// Remaining backhaul capacity fraction on the link from `a` to `b`:
+  /// 1.0 = healthy, 0.0 = outage. When several events overlap the link, the
+  /// worst (minimum) factor applies.
+  double backhaul_factor(ServerId a, ServerId b) const;
 
-  /// The contiguous [first, last) slice of `edges` at exactly `interval`
-  /// (binary search; edges are sorted by interval).
-  static std::pair<const FaultEdge*, const FaultEdge*> edges_at(
-      const std::vector<FaultEdge>& edges, int interval);
+  /// Servers whose crash window opens this interval (deduplicated, sorted
+  /// by id) — the moment the cache is lost and clients drop.
+  const std::vector<ServerId>& crash_starts() const { return crash_starts_; }
+  /// Clients whose disconnect window opens this interval (same order).
+  const std::vector<ClientId>& disconnect_starts() const {
+    return disconnect_starts_;
+  }
+  /// This interval's kFaultApplied / kFaultCleared journal records, in plan
+  /// order: one applied record at a window's first interval, one cleared
+  /// record at its exclusive end.
+  std::span<const obs::JournalEvent> boundary_records() const {
+    return {records_.data() + records_first_, records_.data() + records_last_};
+  }
 
  private:
-  struct Window {
-    int start = 0;
-    int end = 0;  // exclusive
+  enum class Track : std::uint8_t { kDown, kTelemetry, kOffline, kBackhaul };
+  /// One state change: `begins` at a window's first interval, !begins at
+  /// its exclusive end. Sorted by (interval, track, id, begins).
+  struct Edge {
+    int interval = 0;
+    Track track = Track::kDown;
+    std::int32_t id = 0;  // server or client id; 0 on the backhaul track
+    bool begins = false;
   };
   struct LinkWindow {
     int start = 0;
-    int end = 0;
+    int end = 0;                  // exclusive
     ServerId peer = kAllServers;  // kAllServers = wildcard
     double factor = 0.0;          // remaining capacity = 1 - severity
   };
 
-  static bool in_any(const std::vector<Window>& windows, int interval);
+  void apply(const Edge& edge);
 
   bool empty_ = true;
-  std::vector<std::vector<Window>> server_down_;      // per server
-  std::vector<std::vector<Window>> telemetry_down_;   // per server
-  std::vector<std::vector<Window>> client_offline_;   // per client
-  std::vector<std::vector<LinkWindow>> backhaul_;     // per server endpoint
-  std::vector<std::pair<int, ServerId>> crash_starts_;       // sorted
-  std::vector<std::pair<int, ClientId>> disconnect_starts_;  // sorted
-  std::vector<Window> backhaul_active_;  // union-ish: any event window
-  // Interval-indexed views, each sorted by (interval, id, begins).
-  std::vector<FaultEdge> server_down_edges_;
-  std::vector<FaultEdge> telemetry_edges_;
-  std::vector<FaultEdge> client_offline_edges_;
-  std::vector<FaultEdge> backhaul_edges_;
+  std::vector<Edge> edges_;
+  std::vector<obs::JournalEvent> records_;     // sorted by interval
+  std::vector<std::vector<LinkWindow>> links_;  // per server endpoint
+
+  // Clock state: the interval last entered and the active counts there.
+  int interval_ = -1;
+  std::size_t next_edge_ = 0;  // first edge after interval_
+  std::vector<std::int32_t> down_, telemetry_, offline_;
+  int backhaul_ = 0;
+  std::vector<ServerId> crash_starts_;
+  std::vector<ClientId> disconnect_starts_;
+  std::size_t records_first_ = 0, records_last_ = 0;
 };
 
 }  // namespace perdnn

@@ -225,17 +225,7 @@ class ShardEngine {
     bufs_.resize(static_cast<std::size_t>(num_shards_));
     buckets_.resize(static_cast<std::size_t>(num_shards_));
 
-    faults_ = !cfg_.fault_plan.empty();
-    if (faults_) {
-      ft_ = FaultTimeline(cfg_.fault_plan, cfg_.num_servers(),
-                          cfg_.num_clients);
-      down_count_.assign(s, 0);
-      tele_count_.assign(s, 0);
-      down_.assign(s, 0);
-      tele_.assign(s, 0);
-      off_count_.assign(n, 0);
-      scripted_off_.assign(n, 0);
-    }
+    ft_ = FaultTimeline(cfg_.fault_plan, cfg_.num_servers(), cfg_.num_clients);
     // Local-fallback outcome of one full interval, evaluated once: the
     // local-only latency is level-independent, so every client that falls
     // back sees the same query count and latency sum.
@@ -282,7 +272,6 @@ class ShardEngine {
 
   // -- fault machinery (serial; all no-ops on a fault-free run) --------------
   void fault_step(int t);
-  void replay_fault_edges(int upto);
   void compute_shed();
   void apply_shed(const Event& e, int t);
   void push_faulted(const Event& e, int t);
@@ -347,15 +336,9 @@ class ShardEngine {
   std::vector<std::vector<ClientId>> buckets_;
   std::vector<ShardBuf> bufs_;
 
-  // Fault machinery (inert unless the config scripts a plan). The byte
-  // flags are what Phase A reads; the counts behind them advance by one
-  // interval's slice of the precompiled FaultTimeline edge lists per tick.
-  bool faults_ = false;
+  // Fault machinery (inert unless the config scripts a plan). fault_step
+  // advances the clock before the fan-out, so Phase A reads frozen state.
   FaultTimeline ft_;
-  std::vector<std::int32_t> down_count_, tele_count_, off_count_;
-  std::vector<std::uint8_t> down_, tele_, scripted_off_;
-  int backhaul_count_ = 0;
-  bool backhaul_now_ = false;
   std::unordered_map<std::uint64_t, Bytes> link_used_;  // per-interval caps
   PrefixDispatcher retry_;
   // Degraded (stale-telemetry) cold tables, parallel to cold_queries_;
@@ -450,7 +433,7 @@ std::uint8_t ShardEngine::stage_move(ClientId c, int t, ShardBuf& buf,
     ++buf.offline;
     return kDispNone;
   }
-  if (faults_ && scripted_off_[ci] != 0) {
+  if (ft_.client_offline(c)) {
     // Scripted disconnect window: the detach and the disconnect count were
     // handled by fault_step when the window opened. No churn/movement draws
     // are consumed, but the counter-based streams resume unshifted when the
@@ -490,7 +473,7 @@ std::uint8_t ShardEngine::stage_move(ClientId c, int t, ShardBuf& buf,
   y_[ci] = ny;
   const ServerId sid = w_.tile_at({nx, ny});
   tile_[ci] = sid;
-  if (faults_ && down_[static_cast<std::size_t>(sid)] != 0) {
+  if (ft_.server_down(sid)) {
     // The tile's server is down: the interval runs on the local fallback.
     prev = server_[ci];
     server_[ci] = kNoServer;
@@ -533,8 +516,7 @@ void ShardEngine::finish_client(ClientId c, std::uint8_t disp,
       p0 = probed_p0;
     }
     const std::uint8_t cls = p0 >= K_ ? 0 : (p0 == 0 ? 2 : 1);
-    const bool degraded =
-        faults_ && tele_[static_cast<std::size_t>(sid)] != 0;
+    const bool degraded = ft_.telemetry_down(sid);
     const std::size_t cell =
         static_cast<std::size_t>(load - 1) *
             (static_cast<std::size_t>(K_) + 1) +
@@ -875,40 +857,14 @@ void ShardEngine::apply_event(const Event& e, int t) {
       break;
     }
     case kEvPush: {
-      if (faults_ &&
-          (backhaul_now_ || down_[static_cast<std::size_t>(e.peer)] != 0)) {
+      if (ft_.backhaul_active() || ft_.server_down(e.peer)) {
         push_faulted(e, t);
         break;
       }
       const CacheEntry* cur =
           cache_[static_cast<std::size_t>(e.peer)].find(e.client);
-      const int old_prefix = cur != nullptr ? cur->prefix : 0;
-      int p = e.p_end;
-      if (budget_ > 0 && p > old_prefix)
-        p = admit(e.peer, e.client, old_prefix, p, t);
-      auto& entry = cache_[static_cast<std::size_t>(e.peer)][e.client];
-      const Bytes bytes =
-          p > old_prefix
-              ? w_.prefix_bytes[static_cast<std::size_t>(p)] -
-                    w_.prefix_bytes[static_cast<std::size_t>(old_prefix)]
-              : 0;
-      if (p > entry.prefix) {
-        entry.prefix = static_cast<std::uint16_t>(p);
-        if (budget_ > 0)
-          cache_bytes_[static_cast<std::size_t>(e.peer)] += bytes;
-      }
-      schedule_expiry(e.peer, e.client, t + cfg_.ttl_intervals);
-      acc_[static_cast<std::size_t>(e.server)].uplink += bytes;
-      acc_[static_cast<std::size_t>(e.server)].orders += 1;
-      acc_[static_cast<std::size_t>(e.peer)].downlink += bytes;
-      metrics_.total_migrated_bytes += bytes;
-      journal({.interval = t,
-               .kind = obs::JournalEventKind::kMigrationPushed,
-               .client = e.client,
-               .server = e.server,
-               .peer = e.peer,
-               .bytes = bytes,
-               .aux = std::max(0, p - old_prefix)});
+      deliver_push(e.client, e.server, e.peer,
+                   cur != nullptr ? cur->prefix : 0, e.p_end, e.p_end, t);
       break;
     }
     default:
@@ -966,36 +922,13 @@ void ShardEngine::apply_events(int t) {
 }
 
 void ShardEngine::fault_step(int t) {
-  if (!faults_) return;
-  // Scripted fault boundaries, journalled exactly like the trace-replay
-  // engine's apply_faults: one kFaultApplied at the window's first interval
-  // and one kFaultCleared at its exclusive end.
-  if (jr_ != nullptr) {
-    for (const FaultEvent& ev : cfg_.fault_plan.events()) {
-      const auto code = static_cast<std::int32_t>(ev.kind);
-      if (ev.at_interval == t)
-        jr_->record({.interval = t,
-                     .kind = obs::JournalEventKind::kFaultApplied,
-                     .client = ev.client,
-                     .server = ev.server,
-                     .peer = ev.peer,
-                     .detail = code,
-                     .aux = ev.duration_intervals,
-                     .value = ev.severity});
-      if (ev.at_interval + ev.duration_intervals == t)
-        jr_->record({.interval = t,
-                     .kind = obs::JournalEventKind::kFaultCleared,
-                     .client = ev.client,
-                     .server = ev.server,
-                     .peer = ev.peer,
-                     .detail = code});
-    }
-  }
+  ft_.enter(t);
+  for (const obs::JournalEvent& e : ft_.boundary_records()) journal(e);
 
   // Crash starts: the server's cache is lost and every attached client
   // drops. One SoA pass buckets the dropped clients per crashed server so
   // the work below runs in (server, client-id) order.
-  const std::vector<ServerId> crashes = ft_.crashes_starting_at(t);
+  const std::vector<ServerId>& crashes = ft_.crash_starts();
   if (!crashes.empty()) {
     std::vector<std::vector<ClientId>> dropped(crashes.size());
     for (std::size_t c = 0; c < server_.size(); ++c) {
@@ -1038,7 +971,7 @@ void ShardEngine::fault_step(int t) {
   }
 
   // Disconnect starts: the client's own outage; detach if attached.
-  for (const ClientId c : ft_.disconnects_starting_at(t)) {
+  for (const ClientId c : ft_.disconnect_starts()) {
     ++metrics_.client_disconnect_events;
     const auto ci = static_cast<std::size_t>(c);
     if (server_[ci] != kNoServer) {
@@ -1049,70 +982,7 @@ void ShardEngine::fault_step(int t) {
     }
   }
 
-  // Advance the window counters with this interval's slice of the
-  // precompiled edge lists, then refresh the flags Phase A reads.
-  const auto apply = [](const std::vector<FaultEdge>& edges, int interval,
-                        auto&& fn) {
-    const auto [first, last] = FaultTimeline::edges_at(edges, interval);
-    for (const FaultEdge* e = first; e != last; ++e) fn(*e);
-  };
-  apply(ft_.server_down_edges(), t, [this](const FaultEdge& e) {
-    auto& count = down_count_[static_cast<std::size_t>(e.id)];
-    count += e.begins ? 1 : -1;
-    down_[static_cast<std::size_t>(e.id)] = count > 0 ? 1 : 0;
-  });
-  apply(ft_.telemetry_edges(), t, [this](const FaultEdge& e) {
-    auto& count = tele_count_[static_cast<std::size_t>(e.id)];
-    count += e.begins ? 1 : -1;
-    tele_[static_cast<std::size_t>(e.id)] = count > 0 ? 1 : 0;
-  });
-  apply(ft_.client_offline_edges(), t, [this](const FaultEdge& e) {
-    auto& count = off_count_[static_cast<std::size_t>(e.id)];
-    count += e.begins ? 1 : -1;
-    scripted_off_[static_cast<std::size_t>(e.id)] = count > 0 ? 1 : 0;
-  });
-  apply(ft_.backhaul_edges(), t, [this](const FaultEdge& e) {
-    backhaul_count_ += e.begins ? 1 : -1;
-  });
-  backhaul_now_ = backhaul_count_ > 0;
   link_used_.clear();
-}
-
-void ShardEngine::replay_fault_edges(int upto) {
-  // Rebuilds the window counters a checkpointed run had entering interval
-  // `upto`: every edge strictly before it applied once. fault_step(upto)
-  // then applies the resumed interval's own edges, exactly as the
-  // uninterrupted run did.
-  if (!faults_) return;
-  std::fill(down_count_.begin(), down_count_.end(), 0);
-  std::fill(tele_count_.begin(), tele_count_.end(), 0);
-  std::fill(off_count_.begin(), off_count_.end(), 0);
-  backhaul_count_ = 0;
-  const auto replay = [upto](const std::vector<FaultEdge>& edges, auto&& fn) {
-    for (const FaultEdge& e : edges) {
-      if (e.interval >= upto) break;
-      fn(e);
-    }
-  };
-  replay(ft_.server_down_edges(), [this](const FaultEdge& e) {
-    down_count_[static_cast<std::size_t>(e.id)] += e.begins ? 1 : -1;
-  });
-  replay(ft_.telemetry_edges(), [this](const FaultEdge& e) {
-    tele_count_[static_cast<std::size_t>(e.id)] += e.begins ? 1 : -1;
-  });
-  replay(ft_.client_offline_edges(), [this](const FaultEdge& e) {
-    off_count_[static_cast<std::size_t>(e.id)] += e.begins ? 1 : -1;
-  });
-  replay(ft_.backhaul_edges(), [this](const FaultEdge& e) {
-    backhaul_count_ += e.begins ? 1 : -1;
-  });
-  for (std::size_t s = 0; s < down_.size(); ++s)
-    down_[s] = down_count_[s] > 0 ? 1 : 0;
-  for (std::size_t s = 0; s < tele_.size(); ++s)
-    tele_[s] = tele_count_[s] > 0 ? 1 : 0;
-  for (std::size_t c = 0; c < scripted_off_.size(); ++c)
-    scripted_off_[c] = off_count_[c] > 0 ? 1 : 0;
-  backhaul_now_ = backhaul_count_ > 0;
 }
 
 void ShardEngine::compute_shed() {
@@ -1204,9 +1074,7 @@ void ShardEngine::push_faulted(const Event& e, int t) {
                 w_.prefix_bytes[static_cast<std::size_t>(old_prefix)]
           : 0;
   const double factor =
-      down_[static_cast<std::size_t>(e.peer)] != 0 ? 0.0
-      : backhaul_now_ ? ft_.backhaul_factor(e.server, e.peer, t)
-                      : 1.0;
+      ft_.server_down(e.peer) ? 0.0 : ft_.backhaul_factor(e.server, e.peer);
   if (factor <= 0.0) {
     if (bytes_needed > 0)
       defer_push(e.client, e.server, e.peer, want, bytes_needed, t);
@@ -1290,8 +1158,7 @@ void ShardEngine::retry_deferred(int t) {
   sort_by_source(due);
   for (const PrefixDispatcher::Order& order : due) {
     retry_.journal_retry(order, t);
-    if (down_[static_cast<std::size_t>(order.source)] != 0 ||
-        down_[static_cast<std::size_t>(order.target)] != 0) {
+    if (ft_.server_down(order.source) || ft_.server_down(order.target)) {
       retry_.fail(order, t);
       continue;
     }
@@ -1304,9 +1171,7 @@ void ShardEngine::retry_deferred(int t) {
       retry_.dissolve(order, t);
       continue;
     }
-    const double factor =
-        backhaul_now_ ? ft_.backhaul_factor(order.source, order.target, t)
-                      : 1.0;
+    const double factor = ft_.backhaul_factor(order.source, order.target);
     const int p =
         factor <= 0.0  ? old_prefix
         : factor < 1.0 ? fit_degraded(order.source, order.target, factor,
@@ -1404,9 +1269,8 @@ void ShardEngine::finish_interval(int t) {
   if (budget_ > 0)
     metrics_.peak_cache_bytes =
         std::max(metrics_.peak_cache_bytes, resident_total);
-  if (faults_)
-    metrics_.peak_deferred_backlog_bytes = std::max(
-        metrics_.peak_deferred_backlog_bytes, retry_.backlog_bytes());
+  metrics_.peak_deferred_backlog_bytes = std::max(
+      metrics_.peak_deferred_backlog_bytes, retry_.backlog_bytes());
   if (interval_total > best_interval_bytes_) {
     best_interval_bytes_ = interval_total;
     best_interval_fraction_ =
@@ -1460,8 +1324,11 @@ void ShardEngine::restore_from(const snapshot::SimSnapshot& snap) {
   for (std::size_t c = 0; c < n; ++c) set_heading(static_cast<ClientId>(c),
                                                   s.heading[c]);
   server_ = s.server;
-  for (std::size_t c = 0; c < n; ++c)
+  for (std::size_t c = 0; c < n; ++c) {
+    if (s.prefix[c] > static_cast<std::uint32_t>(K_))
+      throw snapshot::SnapshotError("snapshot: client prefix out of range");
     prefix_[c] = static_cast<std::uint16_t>(s.prefix[c]);
+  }
   carry_ = s.carry;
   offline_until_ = s.offline_until;
 
@@ -1487,11 +1354,11 @@ void ShardEngine::restore_from(const snapshot::SimSnapshot& snap) {
     if (sid < 0 || sid >= cfg_.num_servers() || c < 0 ||
         c >= cfg_.num_clients)
       throw snapshot::SnapshotError("snapshot: cache entry out of range");
+    if (s.entry_prefix[i] > static_cast<std::uint32_t>(K_))
+      throw snapshot::SnapshotError("snapshot: cache prefix out of range");
     CacheEntry entry;
     entry.prefix = static_cast<std::uint16_t>(s.entry_prefix[i]);
     entry.expire = s.entry_expire[i];
-    if (entry.prefix > K_)
-      throw snapshot::SnapshotError("snapshot: cache prefix out of range");
     cache_[static_cast<std::size_t>(sid)][c] = entry;
     if (server_[static_cast<std::size_t>(c)] != sid && entry.expire >= start)
       wheel_[static_cast<std::size_t>(entry.expire) % wheel_.size()]
@@ -1525,7 +1392,8 @@ void ShardEngine::restore_from(const snapshot::SimSnapshot& snap) {
   for (std::size_t i = 0; i < nr; ++i) {
     if (s.retry_source[i] < 0 || s.retry_source[i] >= cfg_.num_servers() ||
         s.retry_target[i] < 0 || s.retry_target[i] >= cfg_.num_servers() ||
-        s.retry_client[i] < 0 || s.retry_client[i] >= cfg_.num_clients)
+        s.retry_client[i] < 0 || s.retry_client[i] >= cfg_.num_clients ||
+        s.retry_prefix[i] > static_cast<std::uint32_t>(K_))
       throw snapshot::SnapshotError("snapshot: retry order out of range");
     retry.queue.push_back(
         {.client = s.retry_client[i],
@@ -1537,7 +1405,6 @@ void ShardEngine::restore_from(const snapshot::SimSnapshot& snap) {
          .next_attempt_interval = s.retry_next_attempt[i]});
   }
   retry_.restore(retry);
-  replay_fault_edges(start);
 
   if (!opt_.timeseries_path.empty())
     ts_ = std::make_unique<obs::TimeseriesStreamWriter>(
@@ -1651,7 +1518,7 @@ SimulationMetrics ShardEngine::run() {
     const auto wall_start = std::chrono::steady_clock::now();
 
     // Scripted fault boundaries first: crashes wipe caches and drop
-    // clients, and the window flags Phase A reads advance to this interval.
+    // clients, and the fault clock Phase A reads advances to this interval.
     fault_step(t);
 
     // Ownership: the shard of the tile each client stood on at the
@@ -1681,7 +1548,7 @@ SimulationMetrics ShardEngine::run() {
       metrics_.client_disconnect_events += buf.disconnects;
     compute_shed();
     apply_events(t);
-    if (faults_) retry_deferred(t);
+    retry_deferred(t);
     auto t3 = now();
     tm_apply += secs(t2, t3);
     finish_interval(t);

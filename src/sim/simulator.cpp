@@ -284,7 +284,6 @@ class SimulatorImpl {
           world.servers.num_servers(), num_intervals_, config.seed);
     timeline_ = FaultTimeline(plan, world.servers.num_servers(),
                               static_cast<int>(clients_.size()));
-    fault_plan_ = std::move(plan);
     if (journal_ != nullptr) {
       for (ServerId s = 0; s < world.servers.num_servers(); ++s)
         caches_[static_cast<std::size_t>(s)].set_journal(journal_, s);
@@ -341,10 +340,9 @@ class SimulatorImpl {
   void flush_cold_jobs(int interval_index);
   void advance_uploads(int interval_index);
   void proactive_migration(int interval_index);
-  /// Opens this interval's scripted fault windows: crashes wipe caches and
-  /// drop clients, disconnects detach their client.
+  /// Advances the fault clock: crashes opening this interval wipe caches
+  /// and drop clients, disconnects detach their client.
   void apply_faults(int interval_index);
-  bool is_down(ServerId sid, int interval_index) const;
   /// Outcome of one attempted layer push across the (possibly degraded)
   /// backhaul.
   struct PushResult {
@@ -371,7 +369,7 @@ class SimulatorImpl {
   /// Server the client should use at `pos`, honouring the selection policy
   /// and skipping crashed servers; kNoServer if nothing is reachable.
   /// `current` enables switching hysteresis under kBestVisible.
-  ServerId choose_server(Point pos, ServerId current, int interval_index);
+  ServerId choose_server(Point pos, ServerId current);
   /// Predicted next location per the configured predictor kind.
   std::optional<Point> predict_next(const ClientState& client,
                                     std::size_t history,
@@ -382,8 +380,7 @@ class SimulatorImpl {
   ColdResult cold_window_queries(const ColdJob& job) const;
   /// Per-query latency of offloading to the previous server through the
   /// backhaul; kInfSeconds when unavailable.
-  Seconds routed_path_latency(ClientId c, ServerId previous,
-                              int interval_index);
+  Seconds routed_path_latency(ClientId c, ServerId previous);
   void sort_canonical(std::vector<LayerId>& layers) const;
   std::vector<LayerId> order_by_canonical(std::vector<LayerId> layers) const;
 
@@ -391,9 +388,6 @@ class SimulatorImpl {
   const SimulationWorld& world_;
   obs::SimTimeseries* timeseries_;  // may be null (recording disabled)
   obs::Journal* journal_;           // may be null (journaling disabled)
-  /// The effective fault schedule (scripted plan or compiled legacy
-  /// crashes), kept for journaling fault apply/clear events.
-  FaultPlan fault_plan_;
   Rng rng_;
   Rng link_rng_;  // dedicated stream: jitter draws must not shift the
                   // stats/plan caches of non-jittered runs
@@ -570,10 +564,9 @@ std::vector<LayerId> SimulatorImpl::order_by_canonical(
   return layers;
 }
 
-Seconds SimulatorImpl::routed_path_latency(ClientId c, ServerId previous,
-                                           int interval_index) {
+Seconds SimulatorImpl::routed_path_latency(ClientId c, ServerId previous) {
   if (!config_.routing_fallback || previous == kNoServer ||
-      is_down(previous, interval_index))
+      timeline_.server_down(previous))
     return kInfSeconds;
   caches_[static_cast<std::size_t>(previous)].mask_into(c, world_.model,
                                                         lookup_mask_scratch_);
@@ -713,7 +706,7 @@ void SimulatorImpl::handle_attach(ClientId c, ServerId sid,
 
   // Telemetry dropout at this server: the master plans blind, through the
   // load-free fallback estimator over the stale snapshot.
-  const bool degraded = timeline_.telemetry_down(sid, interval_index);
+  const bool degraded = timeline_.telemetry_down(sid);
   const LoadLevelCache& lvl =
       degraded ? degraded_level(attached_[static_cast<std::size_t>(sid)])
                : level(attached_[static_cast<std::size_t>(sid)]);
@@ -783,8 +776,7 @@ void SimulatorImpl::handle_attach(ClientId c, ServerId sid,
                         .lvl = &lvl,
                         .initial_mask = std::move(available),
                         .pending = client.pending,
-                        .routed_latency =
-                            routed_path_latency(c, previous, interval_index),
+                        .routed_latency = routed_path_latency(c, previous),
                         .link_factor = client.link_factor});
 }
 
@@ -814,36 +806,12 @@ void SimulatorImpl::advance_uploads(int interval_index) {
   }
 }
 
-bool SimulatorImpl::is_down(ServerId sid, int interval_index) const {
-  return timeline_.server_down(sid, interval_index);
-}
-
 void SimulatorImpl::apply_faults(int interval_index) {
-  if (timeline_.empty()) return;
-  if (journal_ != nullptr) {
-    // The plan is sorted by (at_interval, ...); its size is tiny relative
-    // to the interval count, so a linear scan per interval is fine.
-    for (const FaultEvent& ev : fault_plan_.events()) {
-      const auto code = static_cast<std::int32_t>(ev.kind);
-      if (ev.at_interval == interval_index)
-        journal_->record({.interval = interval_index,
-                          .kind = obs::JournalEventKind::kFaultApplied,
-                          .client = ev.client,
-                          .server = ev.server,
-                          .peer = ev.peer,
-                          .detail = code,
-                          .aux = ev.duration_intervals,
-                          .value = ev.severity});
-      if (ev.at_interval + ev.duration_intervals == interval_index)
-        journal_->record({.interval = interval_index,
-                          .kind = obs::JournalEventKind::kFaultCleared,
-                          .client = ev.client,
-                          .server = ev.server,
-                          .peer = ev.peer,
-                          .detail = code});
-    }
-  }
-  for (ServerId s : timeline_.crashes_starting_at(interval_index)) {
+  timeline_.enter(interval_index);
+  if (journal_ != nullptr)
+    for (const obs::JournalEvent& e : timeline_.boundary_records())
+      journal_->record(e);
+  for (ServerId s : timeline_.crash_starts()) {
     ++metrics_.server_failures;
     obs::count("sim.fault.server_crashes");
     // The crash loses every cached layer on the node (journalled per entry
@@ -866,7 +834,7 @@ void SimulatorImpl::apply_faults(int interval_index) {
       ++metrics_.failure_evictions;
     }
   }
-  for (ClientId c : timeline_.disconnects_starting_at(interval_index)) {
+  for (ClientId c : timeline_.disconnect_starts()) {
     ++metrics_.client_disconnect_events;
     obs::count("sim.fault.client_disconnects");
     ClientState& client = clients_[static_cast<std::size_t>(c)];
@@ -889,10 +857,7 @@ SimulatorImpl::PushResult SimulatorImpl::push_layers(
     std::vector<LayerId> layers, int interval_index) {
   const DnnModel& model = world_.model;
   LayerCache& target_cache = caches_[static_cast<std::size_t>(target)];
-  const double factor =
-      timeline_.any_backhaul_fault(interval_index)
-          ? timeline_.backhaul_factor(source, target, interval_index)
-          : 1.0;
+  const double factor = timeline_.backhaul_factor(source, target);
   PushResult result;
   if (factor <= 0.0) {
     // Outage: no packet crosses — not even a TTL-refresh order.
@@ -970,8 +935,8 @@ void SimulatorImpl::retry_deferred_migrations(int interval_index) {
   for (LayerDispatcher::Order& order : due) {
     // A crashed endpoint can't take part: the target lost its radio, the
     // source lost the cache it was supposed to ship from.
-    if (timeline_.server_down(order.source, interval_index) ||
-        timeline_.server_down(order.target, interval_index)) {
+    if (timeline_.server_down(order.source) ||
+        timeline_.server_down(order.target)) {
       dispatcher_.fail(std::move(order), interval_index);
       continue;
     }
@@ -1054,18 +1019,17 @@ void SimulatorImpl::run_local_fallback(ClientId c, Point pos,
   }
 }
 
-ServerId SimulatorImpl::choose_server(Point pos, ServerId current,
-                                      int interval_index) {
+ServerId SimulatorImpl::choose_server(Point pos, ServerId current) {
   const double fallback_radius = world_.servers.grid().cell_radius() * 64.0;
   if (config_.selection == ServerSelection::kCurrentCell) {
     ServerId sid = world_.servers.server_at(pos);
     if (sid == kNoServer)
       sid = world_.servers.nearest_server(pos, fallback_radius);
-    if (sid != kNoServer && !is_down(sid, interval_index)) return sid;
+    if (sid != kNoServer && !timeline_.server_down(sid)) return sid;
     // Cell server down (or missing): any live neighbour within Wi-Fi range.
     for (ServerId candidate :
          world_.servers.servers_within(pos, config_.visibility_radius_m))
-      if (!is_down(candidate, interval_index)) return candidate;
+      if (!timeline_.server_down(candidate)) return candidate;
     return kNoServer;
   }
 
@@ -1083,14 +1047,14 @@ ServerId SimulatorImpl::choose_server(Point pos, ServerId current,
   Seconds current_latency = kInfSeconds;
   bool current_visible = false;
   for (ServerId candidate : candidates) {
-    if (is_down(candidate, interval_index)) continue;
+    if (timeline_.server_down(candidate)) continue;
     // For the already-attached server the client's own load is included.
     const int extra = candidate == current ? 0 : 1;
     const int load = attached_[static_cast<std::size_t>(candidate)] + extra;
     // The master compares the latencies it can *predict*: a telemetry-dark
     // candidate is judged by its degraded (load-free) plan.
     const Seconds latency =
-        (timeline_.telemetry_down(candidate, interval_index)
+        (timeline_.telemetry_down(candidate)
              ? degraded_level(load)
              : level(load))
             .plan.latency;
@@ -1165,10 +1129,10 @@ void SimulatorImpl::proactive_migration(int interval_index) {
 
     for (ServerId target : targets_scratch_) {
       if (target == client.current) continue;  // futile for migration
-      if (is_down(target, interval_index)) continue;
+      if (timeline_.server_down(target)) continue;
       const int load = attached_[static_cast<std::size_t>(target)] + 1;
       const LoadLevelCache& lvl =
-          timeline_.telemetry_down(target, interval_index)
+          timeline_.telemetry_down(target)
               ? degraded_level(load)
               : level(load);
 
@@ -1399,14 +1363,14 @@ SimulationMetrics SimulatorImpl::run(const SimulationRunOptions& options) {
         }
         continue;
       }
-      if (timeline_.client_offline(c, interval_index)) {
+      if (timeline_.client_offline(c)) {
         // Scripted disconnect: radio off, nothing happens this interval
         // (apply_faults already detached the client at the window start).
         ++metrics_.offline_client_intervals;
         continue;
       }
       const Point pos = client.trace->points[k];
-      const ServerId sid = choose_server(pos, client.current, interval_index);
+      const ServerId sid = choose_server(pos, client.current);
       if (sid == kNoServer) {
         // No reachable live server (outage): graceful degradation to fully
         // local execution for this interval.

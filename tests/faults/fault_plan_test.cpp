@@ -198,40 +198,47 @@ TEST(FaultTimelineTest, AnswersPerIntervalQueries) {
        .duration_intervals = 2,
        .client = 0},
   });
-  const FaultTimeline timeline(plan, /*num_servers=*/3, /*num_clients=*/2);
+  FaultTimeline timeline(plan, /*num_servers=*/3, /*num_clients=*/2);
+  // Queries read the interval last entered; `at` jumps the clock anywhere,
+  // forwards or back.
+  const auto at = [&timeline](int interval) -> const FaultTimeline& {
+    timeline.enter(interval);
+    return timeline;
+  };
 
-  EXPECT_FALSE(timeline.server_down(1, 2));
-  EXPECT_TRUE(timeline.server_down(1, 3));
-  EXPECT_TRUE(timeline.server_down(1, 6));
-  EXPECT_FALSE(timeline.server_down(1, 7));
-  EXPECT_EQ(timeline.crashes_starting_at(3), std::vector<ServerId>{1});
-  EXPECT_TRUE(timeline.crashes_starting_at(4).empty());
+  EXPECT_FALSE(at(2).server_down(1));
+  EXPECT_TRUE(at(3).server_down(1));
+  EXPECT_TRUE(at(6).server_down(1));
+  EXPECT_FALSE(at(7).server_down(1));
+  EXPECT_EQ(at(3).crash_starts(), std::vector<ServerId>{1});
+  EXPECT_TRUE(at(4).crash_starts().empty());
 
-  EXPECT_TRUE(timeline.telemetry_down(2, 1));
-  EXPECT_FALSE(timeline.telemetry_down(2, 3));
-  EXPECT_FALSE(timeline.telemetry_down(0, 1));
+  EXPECT_TRUE(at(1).telemetry_down(2));
+  EXPECT_FALSE(at(3).telemetry_down(2));
+  EXPECT_FALSE(at(1).telemetry_down(0));
 
-  EXPECT_TRUE(timeline.client_offline(0, 4));
-  EXPECT_FALSE(timeline.client_offline(0, 6));
-  EXPECT_FALSE(timeline.client_offline(1, 4));
-  EXPECT_EQ(timeline.disconnects_starting_at(4), std::vector<ClientId>{0});
+  EXPECT_TRUE(at(4).client_offline(0));
+  EXPECT_FALSE(at(6).client_offline(0));
+  EXPECT_FALSE(at(4).client_offline(1));
+  EXPECT_EQ(at(4).disconnect_starts(), std::vector<ClientId>{0});
 
   // Worst overlapping event wins; the wildcard covers every link of 0; the
   // pair event is mirrored onto both endpoints.
-  EXPECT_DOUBLE_EQ(timeline.backhaul_factor(0, 2, 2), 0.4);
-  EXPECT_DOUBLE_EQ(timeline.backhaul_factor(2, 0, 2), 0.4);
-  EXPECT_DOUBLE_EQ(timeline.backhaul_factor(0, 1, 2), 0.75);
-  EXPECT_DOUBLE_EQ(timeline.backhaul_factor(1, 2, 2), 1.0);
-  EXPECT_DOUBLE_EQ(timeline.backhaul_factor(0, 2, 5), 1.0);
-  EXPECT_TRUE(timeline.any_backhaul_fault(2));
-  EXPECT_FALSE(timeline.any_backhaul_fault(5));
+  EXPECT_DOUBLE_EQ(at(2).backhaul_factor(0, 2), 0.4);
+  EXPECT_DOUBLE_EQ(at(2).backhaul_factor(2, 0), 0.4);
+  EXPECT_DOUBLE_EQ(at(2).backhaul_factor(0, 1), 0.75);
+  EXPECT_DOUBLE_EQ(at(2).backhaul_factor(1, 2), 1.0);
+  EXPECT_DOUBLE_EQ(at(5).backhaul_factor(0, 2), 1.0);
+  EXPECT_TRUE(at(2).backhaul_active());
+  EXPECT_FALSE(at(5).backhaul_active());
 
   // Empty timelines answer "healthy" everywhere.
-  const FaultTimeline empty;
+  FaultTimeline empty;
+  empty.enter(0);
   EXPECT_TRUE(empty.empty());
-  EXPECT_FALSE(empty.server_down(0, 0));
-  EXPECT_DOUBLE_EQ(empty.backhaul_factor(0, 1, 0), 1.0);
-  EXPECT_TRUE(empty.crashes_starting_at(0).empty());
+  EXPECT_FALSE(empty.server_down(0));
+  EXPECT_DOUBLE_EQ(empty.backhaul_factor(0, 1), 1.0);
+  EXPECT_TRUE(empty.crash_starts().empty());
 
   EXPECT_THROW(FaultTimeline(plan, 2, 2), std::logic_error);
   EXPECT_THROW(FaultTimeline(plan, 3, 0), std::logic_error);

@@ -12,6 +12,7 @@
 // the deferred-migration queue survives a kill -9 byte-identically.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -382,6 +383,50 @@ TEST_F(ShardFaultDeterminismTest, ResumeMidBackoffRestoresRetryQueue) {
   EXPECT_EQ(full.metrics, metrics_fingerprint(resumed));
   EXPECT_EQ(full.timeseries, slurp(ts_path()));
   EXPECT_EQ(full.journal, slurp(jr_path()));
+}
+
+// A checkpoint taken inside the backhaul outage, with no output streams
+// (the resume legs below reopen none).
+snapshot::SimSnapshot capture_in_outage(const ShardWorld& world) {
+  par::set_num_threads(1);
+  snapshot::SimSnapshot snap;
+  ShardRunOptions options;
+  options.num_shards = 4;
+  options.stop_after_interval = 4;
+  options.capture_out = &snap;
+  run_sharded_simulation(world, options);
+  par::set_num_threads(0);
+  return snap;
+}
+
+TEST_F(ShardFaultDeterminismTest, ResumeRejectsClientPrefixAboveK) {
+  // A client prefix past the canonical order would index prefix_bytes out
+  // of range when the client's pushes are emitted.
+  snapshot::SimSnapshot snap = capture_in_outage(*world_);
+  const auto k = static_cast<std::uint32_t>(world_->canonical_order.size());
+  const auto& server = snap.shard.server;
+  const auto attached = std::find_if(server.begin(), server.end(),
+                                     [](ServerId s) { return s != kNoServer; });
+  ASSERT_NE(attached, server.end());
+  snap.shard.prefix[static_cast<std::size_t>(attached - server.begin())] =
+      k + 1;
+  ShardRunOptions options;
+  options.resume_from = &snap;
+  EXPECT_THROW(run_sharded_simulation(*world_, options),
+               snapshot::SnapshotError);
+}
+
+TEST_F(ShardFaultDeterminismTest, ResumeRejectsRetryPrefixAboveK) {
+  // A parked order wanting more than the whole canonical order would index
+  // prefix_bytes out of range when it is retried.
+  snapshot::SimSnapshot snap = capture_in_outage(*world_);
+  ASSERT_FALSE(snap.shard.retry_prefix.empty());
+  snap.shard.retry_prefix.front() =
+      static_cast<std::uint32_t>(world_->canonical_order.size()) + 1;
+  ShardRunOptions options;
+  options.resume_from = &snap;
+  EXPECT_THROW(run_sharded_simulation(*world_, options),
+               snapshot::SnapshotError);
 }
 
 }  // namespace
