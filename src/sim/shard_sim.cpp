@@ -16,6 +16,7 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "edge/migration_dispatcher.hpp"
+#include "edge/tile_residency.hpp"
 #include "faults/fault_timeline.hpp"
 #include "geo/point.hpp"
 #include "obs/stream_writer.hpp"
@@ -163,8 +164,7 @@ class ShardEngine {
     peak_up_.assign(s, 0.0);
     peak_down_.assign(s, 0.0);
     wheel_.resize(static_cast<std::size_t>(cfg_.ttl_intervals) + 2);
-    budget_ = cfg_.cache_budget_bytes;
-    cache_bytes_.assign(s, 0);
+    res_ = TileResidency(s, w_.prefix_bytes, cfg_.cache_budget_bytes);
 
     // Flash-crowd placement: with the knob on, a share of clients starts
     // packed into the hot tiles so that each hot tile holds ~multiplier×
@@ -313,11 +313,9 @@ class ShardEngine {
   long long total_attached_ = 0;
   std::vector<std::vector<std::pair<ServerId, ClientId>>> wheel_;
   // Budgeted-cache state; inert when cfg_.cache_budget_bytes == 0. Resident
-  // bytes per tile are maintained incrementally by every Phase B mutation,
-  // so budget_ > 0 never touches Phase A.
-  Bytes budget_ = 0;
-  std::vector<Bytes> cache_bytes_;
-  std::vector<std::pair<std::uint16_t, ClientId>> evict_scratch_;
+  // bytes and the eviction index per tile are maintained by every Phase B
+  // mutation of cache_, so a budget never touches Phase A.
+  TileResidency res_;
 
   // Attach-time lookup tables, filled once at construction: the cold-start
   // window outcome is a pure function of (load level, cached prefix p0) and
@@ -689,7 +687,7 @@ void ShardEngine::cache_store(ServerId sid, ClientId c, int new_prefix,
   if (cfg_.policy != MigrationPolicy::kProactive) return;
   const auto si = static_cast<std::size_t>(sid);
   int p = new_prefix;
-  if (budget_ > 0) {
+  if (res_.enabled()) {
     const CacheEntry* cur = cache_[si].find(c);
     const int old_prefix = cur != nullptr ? cur->prefix : 0;
     if (new_prefix > old_prefix) {
@@ -714,8 +712,8 @@ void ShardEngine::cache_store(ServerId sid, ClientId c, int new_prefix,
              .server = sid,
              .bytes = added,
              .aux = p - entry.prefix});
+    res_.grow(si, c, entry.prefix, p);
     entry.prefix = static_cast<std::uint16_t>(p);
-    if (budget_ > 0) cache_bytes_[si] += added;
   }
 }
 
@@ -729,38 +727,23 @@ int ShardEngine::admit(ServerId sid, ClientId c, int old_prefix, int want,
   // Pure function of serial Phase B state, so identical across every
   // shard/thread count.
   const auto si = static_cast<std::size_t>(sid);
-  const Bytes need = w_.prefix_bytes[static_cast<std::size_t>(want)] -
-                     w_.prefix_bytes[static_cast<std::size_t>(old_prefix)];
-  if (cache_bytes_[si] + need > budget_) {
-    evict_scratch_.clear();
-    cache_[si].for_each([&](ClientId vc, const CacheEntry& entry) {
-      if (vc == c || entry.prefix == 0) return;
-      if (server_[static_cast<std::size_t>(vc)] == sid) return;  // attached
-      evict_scratch_.emplace_back(entry.prefix, vc);
-    });
-    std::sort(evict_scratch_.begin(), evict_scratch_.end(),
-              [](const auto& a, const auto& b) { return b < a; });
-    for (const auto& [vprefix, vc] : evict_scratch_) {
-      if (cache_bytes_[si] + need <= budget_) break;
-      const Bytes vbytes = w_.prefix_bytes[static_cast<std::size_t>(vprefix)];
-      cache_[si].erase(vc);
-      cache_bytes_[si] -= vbytes;
-      ++metrics_.cache_evictions;
-      ++acc_[si].cache_evictions;
-      journal({.interval = t,
-               .kind = obs::JournalEventKind::kCacheEvict,
-               .client = vc,
-               .server = sid,
-               .bytes = vbytes,
-               .aux = vprefix});
-    }
-  }
-  int p = want;
-  while (p > old_prefix &&
-         cache_bytes_[si] + w_.prefix_bytes[static_cast<std::size_t>(p)] -
-                 w_.prefix_bytes[static_cast<std::size_t>(old_prefix)] >
-             budget_)
-    --p;
+  res_.evict_for(
+      si, old_prefix, want,
+      [&](ClientId vc) {  // the caller and attached owners stay
+        return vc == c || server_[static_cast<std::size_t>(vc)] == sid;
+      },
+      [&](ClientId vc, int vprefix, Bytes vbytes) {
+        cache_[si].erase(vc);
+        ++metrics_.cache_evictions;
+        ++acc_[si].cache_evictions;
+        journal({.interval = t,
+                 .kind = obs::JournalEventKind::kCacheEvict,
+                 .client = vc,
+                 .server = sid,
+                 .bytes = vbytes,
+                 .aux = vprefix});
+      });
+  const int p = res_.fit(si, old_prefix, want);
   if (p < want) {
     ++metrics_.cache_partial_stores;
     ++acc_[si].cache_partial_stores;
@@ -958,7 +941,7 @@ void ShardEngine::fault_step(int t) {
                        .aux = prefix});
       }
       entries.clear();
-      if (budget_ > 0) cache_bytes_[static_cast<std::size_t>(sid)] = 0;
+      res_.clear(static_cast<std::size_t>(sid));
       for (const ClientId c : dropped[i]) {
         detach_from(c, sid, t, obs::kDetachCrash);
         ++metrics_.failure_evictions;
@@ -1114,7 +1097,7 @@ void ShardEngine::deliver_push(ClientId c, ServerId source, ServerId target,
                                int old_prefix, int new_prefix, int want,
                                int t) {
   int p = new_prefix;
-  if (budget_ > 0 && p > old_prefix) p = admit(target, c, old_prefix, p, t);
+  if (res_.enabled() && p > old_prefix) p = admit(target, c, old_prefix, p, t);
   auto& entry = cache_[static_cast<std::size_t>(target)][c];
   const Bytes bytes =
       p > old_prefix
@@ -1122,8 +1105,8 @@ void ShardEngine::deliver_push(ClientId c, ServerId source, ServerId target,
                 w_.prefix_bytes[static_cast<std::size_t>(old_prefix)]
           : 0;
   if (p > entry.prefix) {
+    res_.grow(static_cast<std::size_t>(target), c, entry.prefix, p);
     entry.prefix = static_cast<std::uint16_t>(p);
-    if (budget_ > 0) cache_bytes_[static_cast<std::size_t>(target)] += bytes;
   }
   schedule_expiry(target, c, t + cfg_.ttl_intervals);
   acc_[static_cast<std::size_t>(source)].uplink += bytes;
@@ -1204,9 +1187,7 @@ void ShardEngine::expire_entries(int t) {
              .client = c,
              .server = sid,
              .aux = entry->prefix});
-    if (budget_ > 0)
-      cache_bytes_[static_cast<std::size_t>(sid)] -=
-          w_.prefix_bytes[entry->prefix];
+    res_.erase(static_cast<std::size_t>(sid), c, entry->prefix);
     entries.erase(c);
   }
   slot.clear();
@@ -1226,10 +1207,10 @@ void ShardEngine::finish_interval(int t) {
   Bytes resident_total = 0;
   for (int s = 0; s < num_servers; ++s) {
     const RowAcc& acc = acc_[static_cast<std::size_t>(s)];
-    if (budget_ > 0) {
-      PERDNN_CHECK_MSG(cache_bytes_[static_cast<std::size_t>(s)] <= budget_,
+    if (res_.enabled()) {
+      PERDNN_CHECK_MSG(res_.bytes(static_cast<std::size_t>(s)) <= res_.budget(),
                        "cache budget invariant violated on server " << s);
-      resident_total += cache_bytes_[static_cast<std::size_t>(s)];
+      resident_total += res_.bytes(static_cast<std::size_t>(s));
     }
     const double up_mbps = bytes_to_mbps(static_cast<double>(acc.uplink),
                                          cfg_.interval_s);
@@ -1258,15 +1239,15 @@ void ShardEngine::finish_interval(int t) {
       row.local_latency_sum_s = acc.local_latency;
       row.deferred_bytes = acc.deferred;
       row.degraded = acc.degraded;
-      if (budget_ > 0) {
-        row.cache_bytes = cache_bytes_[static_cast<std::size_t>(s)];
+      if (res_.enabled()) {
+        row.cache_bytes = res_.bytes(static_cast<std::size_t>(s));
         row.cache_evictions = acc.cache_evictions;
         row.cache_partial_stores = acc.cache_partial_stores;
       }
       ts_->append(row);
     }
   }
-  if (budget_ > 0)
+  if (res_.enabled())
     metrics_.peak_cache_bytes =
         std::max(metrics_.peak_cache_bytes, resident_total);
   metrics_.peak_deferred_backlog_bytes = std::max(
@@ -1281,7 +1262,7 @@ void ShardEngine::finish_interval(int t) {
 void ShardEngine::open_writers_fresh() {
   if (!opt_.timeseries_path.empty())
     ts_ = std::make_unique<obs::TimeseriesStreamWriter>(
-        opt_.timeseries_path, w_.model.name(), budget_ > 0);
+        opt_.timeseries_path, w_.model.name(), res_.enabled());
   if (!opt_.journal_path.empty())
     jr_ = std::make_unique<obs::JournalStreamWriter>(opt_.journal_path);
 }
@@ -1345,7 +1326,13 @@ void ShardEngine::restore_from(const snapshot::SimSnapshot& snap) {
     }
   }
 
-  for (auto& entries : cache_) entries.clear();
+  // Resident bytes and the eviction index are a pure function of the
+  // restored prefixes — rebuilt rather than stored, so pre-v5 checkpoints
+  // restore exactly too.
+  for (std::size_t sid = 0; sid < cache_.size(); ++sid) {
+    cache_[sid].clear();
+    res_.clear(sid);
+  }
   for (auto& slot : wheel_) slot.clear();
   const int start = snap.next_interval;
   for (std::size_t i = 0; i < s.entry_server.size(); ++i) {
@@ -1356,21 +1343,22 @@ void ShardEngine::restore_from(const snapshot::SimSnapshot& snap) {
       throw snapshot::SnapshotError("snapshot: cache entry out of range");
     if (s.entry_prefix[i] > static_cast<std::uint32_t>(K_))
       throw snapshot::SnapshotError("snapshot: cache prefix out of range");
-    CacheEntry entry;
+    auto& entries = cache_[static_cast<std::size_t>(sid)];
+    if (entries.find(c) != nullptr)
+      throw snapshot::SnapshotError("snapshot: duplicate cache entry");
+    CacheEntry& entry = entries[c];
     entry.prefix = static_cast<std::uint16_t>(s.entry_prefix[i]);
     entry.expire = s.entry_expire[i];
-    cache_[static_cast<std::size_t>(sid)][c] = entry;
+    res_.grow(static_cast<std::size_t>(sid), c, 0, entry.prefix);
     if (server_[static_cast<std::size_t>(c)] != sid && entry.expire >= start)
       wheel_[static_cast<std::size_t>(entry.expire) % wheel_.size()]
           .push_back({sid, c});
   }
-  // Resident bytes are a pure function of the restored prefixes — recomputed
-  // rather than stored, so pre-v5 checkpoints restore exactly too.
-  std::fill(cache_bytes_.begin(), cache_bytes_.end(), 0);
-  if (budget_ > 0)
-    for (std::size_t i = 0; i < s.entry_server.size(); ++i)
-      cache_bytes_[static_cast<std::size_t>(s.entry_server[i])] +=
-          w_.prefix_bytes[static_cast<std::size_t>(s.entry_prefix[i])];
+  if (res_.enabled())
+    for (std::size_t sid = 0; sid < cache_.size(); ++sid)
+      if (res_.bytes(sid) > res_.budget())
+        throw snapshot::SnapshotError(
+            "snapshot: resident cache bytes exceed the cache budget");
 
   peak_up_ = s.peak_uplink_mbps;
   peak_down_ = s.peak_downlink_mbps;
@@ -1409,7 +1397,7 @@ void ShardEngine::restore_from(const snapshot::SimSnapshot& snap) {
   if (!opt_.timeseries_path.empty())
     ts_ = std::make_unique<obs::TimeseriesStreamWriter>(
         opt_.timeseries_path, obs::Resume{s.timeseries_bytes},
-        s.timeseries_rows, budget_ > 0);
+        s.timeseries_rows, res_.enabled());
   if (!opt_.journal_path.empty()) {
     std::vector<std::pair<ClientId, std::uint64_t>> chains;
     chains.reserve(s.client_chains.size());

@@ -4,12 +4,16 @@
 //     cache_budget_bytes in any interval (checked here via the exported
 //     timeseries rows; the engines also assert it internally);
 //   * determinism — a budgeted sharded run is byte-identical across
-//     threads x shards and across a kill -9 checkpoint/resume;
+//     threads x shards and across a kill -9 checkpoint/resume, also with a
+//     server crash wiping a pressured tile mid-run;
+//   * resume validation — a sharded checkpoint whose cache residency is
+//     inconsistent (duplicate entries, a tile over budget) is rejected;
 //   * output compatibility — an unbudgeted run keeps the schema-2 CSV and
 //     the pre-budget metrics JSON shape, and a never-binding budget changes
 //     no journal event.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -18,6 +22,7 @@
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "faults/fault_plan.hpp"
 #include "mobility/trace_gen.hpp"
 #include "obs/journal.hpp"
 #include "obs/timeseries.hpp"
@@ -260,6 +265,7 @@ class ShardCacheBudgetTest : public ::testing::Test {
     std::string metrics;
     std::string timeseries;
     std::string journal;
+    SimulationMetrics stats;
   };
 
   static RunResult run_at(const ShardWorld& world, int threads, int shards) {
@@ -271,7 +277,66 @@ class ShardCacheBudgetTest : public ::testing::Test {
     const SimulationMetrics metrics = run_sharded_simulation(world, options);
     par::set_num_threads(0);
     return {snapshot::metrics_to_json(metrics), slurp(ts_path()),
-            slurp(jr_path())};
+            slurp(jr_path()), metrics};
+  }
+
+  /// Checkpoints a 16-shard run after interval `kill_at`, tears both output
+  /// files as a kill -9 mid-write would, and resumes the decoded checkpoint
+  /// on 4 shards to the end of the run.
+  static RunResult kill_and_resume(const ShardWorld& world, int kill_at) {
+    par::set_num_threads(1);
+    snapshot::SimSnapshot snap;
+    {
+      ShardRunOptions options;
+      options.num_shards = 16;
+      options.timeseries_path = ts_path();
+      options.journal_path = jr_path();
+      options.stop_after_interval = kill_at;
+      options.capture_out = &snap;
+      run_sharded_simulation(world, options);
+    }
+    EXPECT_TRUE(snap.has_shard);
+
+    // Garbage past the checkpoint offsets must be discarded on resume.
+    {
+      std::ofstream ts(ts_path(), std::ios::binary | std::ios::app);
+      ts << "9,9,9,garbage-past-the-checkpo";
+      std::ofstream jr(jr_path(), std::ios::binary | std::ios::app);
+      jr << "{\"interval\":999,\"kind\":\"atta";
+    }
+
+    const snapshot::SimSnapshot decoded =
+        snapshot::decode(snapshot::encode(snap));
+    ShardRunOptions options;
+    options.num_shards = 4;
+    options.timeseries_path = ts_path();
+    options.journal_path = jr_path();
+    options.resume_from = &decoded;
+    const SimulationMetrics resumed = run_sharded_simulation(world, options);
+    par::set_num_threads(0);
+    return {snapshot::metrics_to_json(resumed), slurp(ts_path()),
+            slurp(jr_path()), resumed};
+  }
+
+  /// A real mid-run checkpoint of the budgeted world (no output files).
+  static snapshot::SimSnapshot capture_mid_run() {
+    snapshot::SimSnapshot snap;
+    ShardRunOptions options;
+    options.num_shards = 4;
+    options.stop_after_interval = 4;
+    options.capture_out = &snap;
+    run_sharded_simulation(*world_, options);
+    return snap;
+  }
+
+  /// Round-trips `snap` through the wire codec and resumes from it.
+  static void resume_from(const snapshot::SimSnapshot& snap) {
+    const snapshot::SimSnapshot decoded =
+        snapshot::decode(snapshot::encode(snap));
+    ShardRunOptions options;
+    options.num_shards = 4;
+    options.resume_from = &decoded;
+    run_sharded_simulation(*world_, options);
   }
 
   static ShardWorld* world_;
@@ -322,42 +387,123 @@ TEST_F(ShardCacheBudgetTest, ResidentBytesNeverExceedBudgetInAnyInterval) {
 
 TEST_F(ShardCacheBudgetTest, BudgetedResumeAfterKillConvergesByteIdentical) {
   const RunResult full = run_at(*world_, 2, 4);
-
-  par::set_num_threads(1);
-  snapshot::SimSnapshot snap;
-  {
-    ShardRunOptions options;
-    options.num_shards = 16;
-    options.timeseries_path = ts_path();
-    options.journal_path = jr_path();
-    options.stop_after_interval = 4;
-    options.capture_out = &snap;
-    run_sharded_simulation(*world_, options);
+  // Every kill point: the restored eviction index must pick the same
+  // victims as the one the uninterrupted run built up incrementally.
+  for (int kill_at = 1; kill_at < world_->config.num_intervals; ++kill_at) {
+    const RunResult resumed = kill_and_resume(*world_, kill_at);
+    EXPECT_EQ(full.metrics, resumed.metrics) << "kill_at=" << kill_at;
+    EXPECT_EQ(full.timeseries, resumed.timeseries) << "kill_at=" << kill_at;
+    EXPECT_EQ(full.journal, resumed.journal) << "kill_at=" << kill_at;
   }
-  ASSERT_TRUE(snap.has_shard);
+}
 
-  // kill -9 mid-write: garbage past the checkpoint offsets must be
-  // discarded on resume.
-  {
-    std::ofstream ts(ts_path(), std::ios::binary | std::ios::app);
-    ts << "9,9,9,garbage-past-the-checkpo";
-    std::ofstream jr(jr_path(), std::ios::binary | std::ios::app);
-    jr << "{\"interval\":999,\"kind\":\"atta";
+TEST_F(ShardCacheBudgetTest, CrashOnPressuredTileIsByteIdenticalAndResumes) {
+  // Crash the tile with the most budget evictions in the fault-free run and
+  // throttle the backhaul of the runner-up, so the crash wipe lands on a
+  // full eviction index and throttled pushes keep feeding admissions.
+  const RunResult calm = run_at(*world_, 1, 1);
+  const auto rows_server = csv_column(calm.timeseries, "server");
+  const auto rows_evictions = csv_column(calm.timeseries, "cache_evictions");
+  ASSERT_EQ(rows_server.size(), rows_evictions.size());
+  std::vector<long long> per_tile(
+      static_cast<std::size_t>(world_->config.num_servers()), 0);
+  for (std::size_t i = 0; i < rows_server.size(); ++i)
+    per_tile[static_cast<std::size_t>(rows_server[i])] += rows_evictions[i];
+  std::vector<ServerId> by_pressure(per_tile.size());
+  for (std::size_t s = 0; s < per_tile.size(); ++s)
+    by_pressure[s] = static_cast<ServerId>(s);
+  std::stable_sort(by_pressure.begin(), by_pressure.end(),
+                   [&](ServerId a, ServerId b) {
+                     return per_tile[static_cast<std::size_t>(a)] >
+                            per_tile[static_cast<std::size_t>(b)];
+                   });
+  const ServerId hot = by_pressure[0];
+  ASSERT_GT(per_tile[static_cast<std::size_t>(hot)], 0);
+
+  ShardWorldConfig config = world_->config;
+  config.fault_plan = FaultPlan(
+      {{.kind = FaultKind::kServerCrash,
+        .at_interval = 4,
+        .duration_intervals = 3,
+        .server = hot},
+       {.kind = FaultKind::kBackhaulDegrade,
+        .at_interval = 2,
+        .duration_intervals = 5,
+        .server = by_pressure[1],
+        .peer = kAllServers,
+        .severity = 0.6}});
+  const ShardWorld faulted = build_shard_world(config);
+
+  const RunResult baseline = run_at(faulted, 1, 1);
+  EXPECT_GT(baseline.stats.cache_evictions, 0);
+  EXPECT_GT(baseline.stats.server_failures, 0);
+  // The crash wiped a tile that held resident bytes the interval before.
+  const auto rows_interval = csv_column(baseline.timeseries, "interval");
+  const auto rows_bytes = csv_column(baseline.timeseries, "cache_bytes");
+  const auto faulted_server = csv_column(baseline.timeseries, "server");
+  long long before_crash = -1, during_crash = -1;
+  for (std::size_t i = 0; i < rows_interval.size(); ++i) {
+    if (faulted_server[i] != hot) continue;
+    if (rows_interval[i] == 3) before_crash = rows_bytes[i];
+    if (rows_interval[i] == 4) during_crash = rows_bytes[i];
+  }
+  EXPECT_GT(before_crash, 0);
+  EXPECT_EQ(during_crash, 0);
+
+  for (const int shards : {1, 4, 16}) {
+    for (const int threads : {1, 2, 8}) {
+      const RunResult r = run_at(faulted, threads, shards);
+      EXPECT_EQ(baseline.metrics, r.metrics)
+          << "threads=" << threads << " shards=" << shards;
+      EXPECT_EQ(baseline.timeseries, r.timeseries)
+          << "threads=" << threads << " shards=" << shards;
+      EXPECT_EQ(baseline.journal, r.journal)
+          << "threads=" << threads << " shards=" << shards;
+    }
   }
 
-  const snapshot::SimSnapshot decoded =
-      snapshot::decode(snapshot::encode(snap));
-  ShardRunOptions options;
-  options.num_shards = 4;
-  options.timeseries_path = ts_path();
-  options.journal_path = jr_path();
-  options.resume_from = &decoded;
-  const SimulationMetrics resumed = run_sharded_simulation(*world_, options);
-  par::set_num_threads(0);
+  // Checkpoint inside the crash window [4, 7): the tile is down and empty.
+  const RunResult resumed = kill_and_resume(faulted, 5);
+  EXPECT_EQ(baseline.metrics, resumed.metrics);
+  EXPECT_EQ(baseline.timeseries, resumed.timeseries);
+  EXPECT_EQ(baseline.journal, resumed.journal);
+}
 
-  EXPECT_EQ(full.metrics, snapshot::metrics_to_json(resumed));
-  EXPECT_EQ(full.timeseries, slurp(ts_path()));
-  EXPECT_EQ(full.journal, slurp(jr_path()));
+TEST_F(ShardCacheBudgetTest, ResumeRejectsDuplicateCacheEntry) {
+  snapshot::SimSnapshot snap = capture_mid_run();
+  snapshot::ShardSimState& s = snap.shard;
+  const auto it = std::find_if(s.entry_prefix.begin(), s.entry_prefix.end(),
+                               [](std::uint32_t p) { return p > 0; });
+  ASSERT_NE(it, s.entry_prefix.end());
+  const auto i = it - s.entry_prefix.begin();
+  // The same (server, client) entry twice: its bytes would count twice.
+  s.entry_server.insert(s.entry_server.begin() + i, s.entry_server[i]);
+  s.entry_client.insert(s.entry_client.begin() + i, s.entry_client[i]);
+  s.entry_expire.insert(s.entry_expire.begin() + i, s.entry_expire[i]);
+  s.entry_prefix.insert(s.entry_prefix.begin() + i, s.entry_prefix[i]);
+  EXPECT_THROW(resume_from(snap), snapshot::SnapshotError);
+}
+
+TEST_F(ShardCacheBudgetTest, ResumeRejectsTileResidencyOverBudget) {
+  snapshot::SimSnapshot snap = capture_mid_run();
+  snapshot::ShardSimState& s = snap.shard;
+  // Three more full canonical prefixes on server 0 than the budget of two
+  // can ever hold, from clients with no entry there yet.
+  const auto full = static_cast<std::uint32_t>(world_->prefix_bytes.size() - 1);
+  int added = 0;
+  for (ClientId c = 0; c < world_->config.num_clients && added < 3; ++c) {
+    bool present = false;
+    for (std::size_t i = 0; i < s.entry_server.size(); ++i)
+      present = present || (s.entry_server[i] == 0 && s.entry_client[i] == c);
+    if (present) continue;
+    s.entry_server.push_back(0);
+    s.entry_client.push_back(c);
+    s.entry_expire.push_back(snap.next_interval + 1);
+    s.entry_prefix.push_back(full);
+    ++added;
+  }
+  ASSERT_EQ(added, 3);
+  EXPECT_THROW(resume_from(snap), snapshot::SnapshotError);
 }
 
 TEST_F(ShardCacheBudgetTest, UnbudgetedShardRunKeepsSchema2) {

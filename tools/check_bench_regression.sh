@@ -49,7 +49,11 @@
 #   * the 1x/1-prefix scenario's peak_cache_bytes must stay within its own
 #     budget_bytes (the budget invariant, visible in the artifact itself);
 #   * the 1x/1-prefix backhaul_bytes must stay <= 150% of baseline (the
-#     budget must keep throttling proactive traffic).
+#     budget must keep throttling proactive traffic);
+#   * every 3x/*-prefix scenario's run_wall_s must stay <= 2.5x the
+#     3x/unbudgeted run_wall_s of the same result (budgeted admission walks
+#     a per-tile eviction index instead of scanning the tile's cache; a
+#     ratio within one run, so it holds on any machine).
 # Without BENCH_CACHE_JSON the cache gate is skipped with a note.
 #
 # Usage: tools/check_bench_regression.sh [--update] [path/to/bench_micro]
@@ -313,6 +317,27 @@ else
   else
     echo "ok: 1-prefix backhaul ${cur_bh} bytes (baseline ${base_bh})"
   fi
+  # "scenario run_wall_s" per scenario object of the current result.
+  walls="$(awk 'BEGIN { RS = "{" }
+    match($0, /"scenario":"[^"]*"/) {
+      name = substr($0, RSTART + 12, RLENGTH - 13)
+      if (match($0, /"run_wall_s":[0-9.eE+-]+/))
+        print name, substr($0, RSTART + 13, RLENGTH - 13)
+    }' "$BENCH_CACHE_JSON")"
+  ub_wall="$(printf '%s\n' "$walls" | awk '$1 == "3x/unbudgeted" { print $2 }')"
+  budgeted_walls="$(printf '%s\n' "$walls" | awk '$1 ~ /^3x\/.*-prefix$/')"
+  if [ -z "$ub_wall" ] || [ -z "$budgeted_walls" ]; then
+    echo "error: could not parse 3x scenario run_wall_s from cache JSON" >&2
+    exit 2
+  fi
+  while read -r name wall; do
+    if awk -v w="$wall" -v u="$ub_wall" 'BEGIN { exit !(w > u * 2.5) }'; then
+      echo "REGRESSION: $name wall ${wall}s above 2.5x the 3x/unbudgeted ${ub_wall}s"
+      fail=1
+    else
+      echo "ok: $name wall ${wall}s within 2.5x the 3x/unbudgeted ${ub_wall}s"
+    fi
+  done <<< "$budgeted_walls"
 fi
 
 if [ "$fail" -ne 0 ]; then

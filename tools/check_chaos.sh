@@ -11,7 +11,8 @@
 #
 # The budgeted-cache leg rides along: the CacheBudget suites (which include
 # the crash-mid-pressure kill -9 resume byte-identity gate and per-interval
-# budget-invariant checks) run under the sanitizers in both legs, plus a
+# budget-invariant checks) run under the sanitizers in both legs, plus the
+# tile eviction index's brute-force equivalence test (TileResidency) and a
 # bench_cache smoke run exercising eviction/partial-residency churn.
 #
 # Usage: tools/check_chaos.sh [build-dir]     (default: build-chaos)
@@ -27,7 +28,7 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
 export PERDNN_THREADS=4
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1}"
 
-CHAOS_TESTS='FaultPlan|FaultTimeline|FaultSim|MigrationDispatcher|LayerCache|ParallelDeterminism|SimulationConfigValidate|SimulationMetricsFault|ShardDeterminism|ShardFault|CacheBudget'
+CHAOS_TESTS='FaultPlan|FaultTimeline|FaultSim|MigrationDispatcher|LayerCache|TileResidency|ParallelDeterminism|SimulationConfigValidate|SimulationMetricsFault|ShardDeterminism|ShardFault|CacheBudget'
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -R "$CHAOS_TESTS"
 
