@@ -1,6 +1,7 @@
 #include "sim/shard_sim.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -31,6 +32,12 @@ constexpr double kTwoPi = 6.283185307179586;
 /// Hard bound on queries simulated inside one cold-start window; only
 /// reachable with a pathological (near-zero latency, zero gap) config.
 constexpr long long kMaxColdQueries = 100000;
+
+/// Widest push scan window, in hex rings. A client emits at most a detach,
+/// its attach and one push per cell of the window, numbered by the 8-bit
+/// Event::ordinal.
+constexpr int kMaxPushSteps = 8;
+static_assert(2 + 3 * kMaxPushSteps * (kMaxPushSteps + 1) + 1 <= 256);
 
 int floor_mod2(int v) { return ((v % 2) + 2) % 2; }
 
@@ -68,27 +75,37 @@ enum EventKind : std::uint8_t {
   kEvUpload = 2,   ///< steady-state upload progressed
   kEvPush = 3,     ///< proactive dispatcher push toward a predicted tile
   kEvLocal = 4,    ///< tile server down: the interval ran on the local fallback
+  kEvDetach = 5,   ///< detach half of an attach/local whose previous server
+                   ///< lives in another shard
 };
 
 /// Event flag bits.
 enum : std::uint8_t {
-  kFlagDegraded = 1,  ///< attach planned from stale telemetry (dropout tile)
+  kFlagDegraded = 1,     ///< attach planned from stale telemetry (dropout tile)
+  kFlagUnreachable = 2,  ///< kEvDetach: the tile server went down (else moved)
 };
 
-/// One cross-shard exchange record. Phase A emits these in client-id order
-/// per shard; phase B applies the k-way merge in canonical order.
+/// One Phase A -> Phase B exchange record. Phase A routes each event to the
+/// shard owning the tile whose state it mutates — a push to its target's
+/// shard, every other kind to `server`'s — in client-id order, each
+/// client's events contiguous and numbered by `ordinal`.
 struct Event {
   ClientId client = -1;
   std::uint8_t kind = kEvAttach;
   std::uint8_t cls = 0;        // attach classification: 0 hit/1 partial/2 miss
   std::uint8_t flags = 0;      // kFlag* bits
+  std::uint8_t ordinal = 0;    // rank among the client's events this interval
   std::uint16_t p0 = 0;        // cache prefix found at attach
   std::uint16_t p_end = 0;     // prefix after this interval / pushed prefix
   ServerId server = kNoServer; // attach target / upload server / push source
+                               // / detached server
   ServerId peer = kNoServer;   // previous server / push target
-  long long queries = 0;
+  std::int32_t queries = 0;    // cold-window or local-fallback queries
   double latency_sum = 0.0;
 };
+// The exchange buffers hold every event of an interval at once.
+static_assert(sizeof(Event) == 32);
+static_assert(kMaxColdQueries <= std::numeric_limits<std::int32_t>::max());
 
 /// Client disposition after the mobility stage of a Phase A block.
 enum Disp : std::uint8_t {
@@ -101,7 +118,9 @@ enum Disp : std::uint8_t {
 
 /// Per-shard phase A output buffer (reused across intervals).
 struct ShardBuf {
-  std::vector<Event> events;
+  /// Outgoing events per destination shard, each in client-id order.
+  std::vector<std::vector<Event>> out;
+  std::uint8_t next_ordinal = 0;  // of the client being finished
   long long offline = 0;        // client-intervals spent offline
   int disconnects = 0;          // offline windows opened
   // Block-stage scratch: one entry per client of the current block.
@@ -129,6 +148,59 @@ struct RowAcc {
   int degraded = 0;
   int cache_evictions = 0;
   int cache_partial_stores = 0;
+};
+
+/// Run metrics a Phase B task counts for its shard, folded into the run's
+/// metrics after the fan-out. Integer sums, so the fold order is free; the
+/// one double metric (local_latency_sum_s) has identical addends, so the
+/// task counts them and the fold adds them one by one.
+struct Tally {
+  int server_changes = 0, hits = 0, partials = 0, misses = 0;
+  long long cold_window_queries = 0;
+  int degraded_attaches = 0, attaches_shed = 0;
+  long long unreachable_client_intervals = 0, local_fallback_queries = 0;
+  long long local_fallbacks = 0;  // local_latency_sum_ addends
+  long long cache_evictions = 0, cache_partial_stores = 0;
+  Bytes total_migrated_bytes = 0;
+  int migrations_truncated = 0;
+};
+
+/// A Phase B effect that must happen in canonical global order: a journal
+/// record or a retry-queue deferral, replayed serially after the fan-out.
+enum SideOp : std::uint8_t {
+  kOpRecord,      ///< journal `record` as is
+  kOpChainStart,  ///< journal `record` under a fresh chain of its client
+  kOpChained,     ///< journal `record` under the chain started last
+  kOpDefer,       ///< park a push: client, server = source, peer = target,
+                  ///< aux = wanted prefix, bytes
+};
+
+struct SideEntry {
+  std::uint64_t key;  ///< (client << 8) | ordinal of the applying event
+  SideOp op;
+  obs::JournalEvent record;
+};
+
+/// Phase B state of one tile shard. Its task mutates the server-side state
+/// of the shard's tiles and this struct, nothing else. The serial lane
+/// (shard -1) serves the fault step and the retry pass, whose effects apply
+/// directly.
+struct Lane {
+  int shard = -1;
+  std::uint64_t key = 0;  ///< side-log key of the event being applied
+  Tally tally;
+  /// Effects kept in canonical order, nondecreasing in key.
+  std::vector<SideEntry> log;
+  /// Push uplink charged to a source server in another shard.
+  std::vector<std::pair<ServerId, Bytes>> uplink;
+  /// TTL wheel over the shard's tiles.
+  std::vector<std::vector<std::pair<ServerId, ClientId>>> wheel;
+  /// This interval's backhaul use of links into the shard's tiles.
+  std::unordered_map<std::uint64_t, Bytes> link_used;
+  /// This interval's expiry records, in (server, client) order.
+  std::vector<obs::JournalEvent> expired;
+  /// Merge cursors over the source shards' outboxes (scratch).
+  std::vector<std::pair<const Event*, const Event*>> cursors;
 };
 
 class ShardEngine {
@@ -163,7 +235,6 @@ class ShardEngine {
     acc_.resize(s);
     peak_up_.assign(s, 0.0);
     peak_down_.assign(s, 0.0);
-    wheel_.resize(static_cast<std::size_t>(cfg_.ttl_intervals) + 2);
     res_ = TileResidency(s, w_.prefix_bytes, cfg_.cache_budget_bytes);
 
     // Flash-crowd placement: with the knob on, a share of clients starts
@@ -223,7 +294,24 @@ class ShardEngine {
         tile_shard_[static_cast<std::size_t>(tile)] = sh;
     }
     bufs_.resize(static_cast<std::size_t>(num_shards_));
+    for (ShardBuf& buf : bufs_)
+      buf.out.resize(static_cast<std::size_t>(num_shards_));
     buckets_.resize(static_cast<std::size_t>(num_shards_));
+    lanes_.resize(static_cast<std::size_t>(num_shards_));
+    for (int sh = 0; sh < num_shards_; ++sh) {
+      Lane& lane = lanes_[static_cast<std::size_t>(sh)];
+      lane.shard = sh;
+      lane.wheel.resize(static_cast<std::size_t>(cfg_.ttl_intervals) + 2);
+    }
+
+    const double steps = std::ceil(cfg_.migration_radius_m /
+                                   (kSqrt3 * cfg_.cell_radius_m)) +
+                         1.0;
+    PERDNN_CHECK_MSG(steps <= kMaxPushSteps,
+                     "migration_radius_m " << cfg_.migration_radius_m
+                         << " spans more than " << kMaxPushSteps
+                         << " hex rings of radius " << cfg_.cell_radius_m);
+    push_steps_ = static_cast<int>(steps);
 
     ft_ = FaultTimeline(cfg_.fault_plan, cfg_.num_servers(), cfg_.num_clients);
     // Local-fallback outcome of one full interval, evaluated once: the
@@ -259,28 +347,67 @@ class ShardEngine {
   void finish_client(ClientId c, std::uint8_t disp, ServerId offline_prev,
                      int probed_p0, int t, ShardBuf& buf);
   void emit_pushes(ClientId c, ServerId sid, int t, ShardBuf& buf);
+  /// Appends `e` to the outbox of the shard owning tile `route`.
+  void emit(ShardBuf& buf, ServerId route, Event e) {
+    e.ordinal = buf.next_ordinal++;
+    buf.out[static_cast<std::size_t>(
+                tile_shard_[static_cast<std::size_t>(route)])]
+        .push_back(e);
+  }
 
-  // -- phase B (serial, canonical client-id order) ---------------------------
-  void apply_events(int t);
-  void apply_event(const Event& e, int t);
-  void detach_from(ClientId c, ServerId sid, int t, std::int32_t reason);
-  void cache_store(ServerId sid, ClientId c, int new_prefix, int t);
-  int admit(ServerId sid, ClientId c, int old_prefix, int want, int t);
+  /// A move off `prev` into `sid`: when another shard owns `prev`, the
+  /// detach half travels there as its own event.
+  void emit_detach(ShardBuf& buf, ClientId c, ServerId prev, ServerId sid,
+                   std::uint8_t flags) {
+    if (prev != kNoServer && tile_shard_[static_cast<std::size_t>(prev)] !=
+                                 tile_shard_[static_cast<std::size_t>(sid)])
+      emit(buf, prev,
+           {.client = c, .kind = kEvDetach, .flags = flags, .server = prev});
+  }
+
+  // -- phase B (one task per tile shard, then a canonical serial merge) ------
+  void apply_lane(Lane& lane, int t);
+  void apply_event(Lane& lane, const Event& e, bool shed, int t);
+  void merge_lanes();
+  void detach_from(Lane& lane, ClientId c, ServerId sid, int t,
+                   std::int32_t reason);
+  void cache_store(Lane& lane, ServerId sid, ClientId c, int new_prefix,
+                   int t);
+  int admit(Lane& lane, ServerId sid, ClientId c, int old_prefix, int want,
+            int t);
   void schedule_expiry(ServerId sid, ClientId c, int expire);
-  void expire_entries(int t);
+  void expire_lane(Lane& lane, int t);
   void finish_interval(int t);
 
-  // -- fault machinery (serial; all no-ops on a fault-free run) --------------
+  /// The lane owning tile `sid`.
+  Lane& owner(ServerId sid) {
+    return lanes_[static_cast<std::size_t>(
+        tile_shard_[static_cast<std::size_t>(sid)])];
+  }
+  bool owns(const Lane& lane, ServerId sid) const {
+    return lane.shard < 0 ||
+           tile_shard_[static_cast<std::size_t>(sid)] == lane.shard;
+  }
+  // Phase B reads a client's server slot from every shard (the eviction
+  // pin) while shedding resets it in the shard of the refused attach.
+  ServerId server_of(ClientId c) {
+    return std::atomic_ref<ServerId>(server_[static_cast<std::size_t>(c)])
+        .load(std::memory_order_relaxed);
+  }
+
+  // -- fault machinery (all no-ops on a fault-free run) ----------------------
   void fault_step(int t);
   void compute_shed();
-  void apply_shed(const Event& e, int t);
-  void push_faulted(const Event& e, int t);
+  void apply_shed(Lane& lane, const Event& e, int t);
+  void push_faulted(Lane& lane, const Event& e, int t);
   int fit_degraded(ServerId source, ServerId target, double factor,
                    int old_prefix, int want);
-  void deliver_push(ClientId c, ServerId source, ServerId target,
+  void deliver_push(Lane& lane, ClientId c, ServerId source, ServerId target,
                     int old_prefix, int new_prefix, int want, int t);
-  void defer_push(ClientId c, ServerId source, ServerId target, int want,
-                  Bytes bytes, int t);
+  void defer_push(Lane& lane, ClientId c, ServerId source, ServerId target,
+                  int want, Bytes bytes, int t);
+  void park(ClientId c, ServerId source, ServerId target, int want,
+            Bytes bytes, int t);
   void retry_deferred(int t);
 
   // -- checkpoint / resume ---------------------------------------------------
@@ -292,6 +419,16 @@ class ShardEngine {
   void journal(obs::JournalEvent e) {
     if (jr_ != nullptr) jr_->record(e);
   }
+  void journal(Lane& lane, const obs::JournalEvent& e,
+               SideOp op = kOpRecord) {
+    if (jr_ == nullptr) return;
+    if (lane.shard < 0) {
+      jr_->record(e);
+    } else {
+      lane.log.push_back({lane.key, op, e});
+    }
+  }
+  void add_tally(Tally& tally);
 
   const ShardWorld& w_;
   const ShardWorldConfig& cfg_;
@@ -310,8 +447,6 @@ class ShardEngine {
   // Server-side state (phase B only; phase A reads the frozen tables).
   std::vector<FlatMap32<CacheEntry>> cache_;
   std::vector<int> attached_;
-  long long total_attached_ = 0;
-  std::vector<std::vector<std::pair<ServerId, ClientId>>> wheel_;
   // Budgeted-cache state; inert when cfg_.cache_budget_bytes == 0. Resident
   // bytes and the eviction index per tile are maintained by every Phase B
   // mutation of cache_, so a budget never touches Phase A.
@@ -333,11 +468,13 @@ class ShardEngine {
   std::vector<int> tile_shard_;
   std::vector<std::vector<ClientId>> buckets_;
   std::vector<ShardBuf> bufs_;
+  std::vector<Lane> lanes_;
+  Lane serial_;
+  int push_steps_ = 1;  // hex rings of the push scan window
 
   // Fault machinery (inert unless the config scripts a plan). fault_step
   // advances the clock before the fan-out, so Phase A reads frozen state.
   FaultTimeline ft_;
-  std::unordered_map<std::uint64_t, Bytes> link_used_;  // per-interval caps
   PrefixDispatcher retry_;
   // Degraded (stale-telemetry) cold tables, parallel to cold_queries_;
   // filled only when the plan scripts a telemetry dropout.
@@ -486,20 +623,22 @@ void ShardEngine::finish_client(ClientId c, std::uint8_t disp,
                                 ServerId offline_prev, int probed_p0, int t,
                                 ShardBuf& buf) {
   const auto ci = static_cast<std::size_t>(c);
+  buf.next_ordinal = 0;
   if (disp == kDispOffline) {
-    buf.events.push_back({.client = c,
-                          .kind = kEvOffline,
-                          .server = offline_prev});
+    emit(buf, offline_prev,
+         {.client = c, .kind = kEvOffline, .server = offline_prev});
     return;
   }
   const ServerId sid = tile_[ci];
   if (disp == kDispLocal) {
-    buf.events.push_back({.client = c,
-                          .kind = kEvLocal,
-                          .server = sid,
-                          .peer = offline_prev,
-                          .queries = local_queries_,
-                          .latency_sum = local_latency_sum_});
+    emit_detach(buf, c, offline_prev, sid, kFlagUnreachable);
+    emit(buf, sid,
+         {.client = c,
+          .kind = kEvLocal,
+          .server = sid,
+          .peer = offline_prev,
+          .queries = static_cast<std::int32_t>(local_queries_),
+          .latency_sum = local_latency_sum_});
     return;
   }
   if (disp == kDispAttach) {
@@ -524,19 +663,20 @@ void ShardEngine::finish_client(ClientId c, std::uint8_t disp,
     const ServerId prev = server_[ci];
     server_[ci] = sid;
     prefix_[ci] = static_cast<std::uint16_t>(pe);
-    buf.events.push_back({.client = c,
-                          .kind = kEvAttach,
-                          .cls = cls,
-                          .flags = static_cast<std::uint8_t>(
-                              degraded ? kFlagDegraded : 0),
-                          .p0 = static_cast<std::uint16_t>(p0),
-                          .p_end = static_cast<std::uint16_t>(pe),
-                          .server = sid,
-                          .peer = prev,
-                          .queries = degraded ? dcold_queries_[cell]
-                                              : cold_queries_[cell],
-                          .latency_sum = degraded ? dcold_latency_[cell]
-                                                  : cold_latency_[cell]});
+    emit_detach(buf, c, prev, sid, 0);
+    emit(buf, sid,
+         {.client = c,
+          .kind = kEvAttach,
+          .cls = cls,
+          .flags = static_cast<std::uint8_t>(degraded ? kFlagDegraded : 0),
+          .p0 = static_cast<std::uint16_t>(p0),
+          .p_end = static_cast<std::uint16_t>(pe),
+          .server = sid,
+          .peer = prev,
+          .queries = static_cast<std::int32_t>(
+              degraded ? dcold_queries_[cell] : cold_queries_[cell]),
+          .latency_sum = degraded ? dcold_latency_[cell]
+                                  : cold_latency_[cell]});
   } else if (prefix_[ci] < K_) {
     // Steady state at the same server: the incremental upload continues at
     // the wireless uplink rate.
@@ -551,11 +691,12 @@ void ShardEngine::finish_client(ClientId c, std::uint8_t disp,
       ++pe;
     }
     if (pe > prefix_[ci]) {
-      buf.events.push_back({.client = c,
-                            .kind = kEvUpload,
-                            .p0 = prefix_[ci],
-                            .p_end = static_cast<std::uint16_t>(pe),
-                            .server = sid});
+      emit(buf, sid,
+           {.client = c,
+            .kind = kEvUpload,
+            .p0 = prefix_[ci],
+            .p_end = static_cast<std::uint16_t>(pe),
+            .server = sid});
       prefix_[ci] = static_cast<std::uint16_t>(pe);
       if (pe >= K_) carry_[ci] = 0;
     }
@@ -569,9 +710,9 @@ void ShardEngine::run_shard(std::size_t sh, int t) {
   // Cache-blocked Phase A: each block runs three stages — mobility for
   // every client, then the cache probes for the attach candidates (with the
   // flat-map home slots prefetched a few probes ahead), then an in-order
-  // finish pass that emits events. Events still leave the buffer in strict
-  // client-id order with each client's events contiguous, which the Phase B
-  // k-way merge depends on; only the work between event emissions is
+  // finish pass that emits events. Every outbox still receives its events
+  // in strict client-id order with each client's events contiguous, which
+  // the Phase B merge depends on; only the work between event emissions is
   // re-grouped.
   constexpr std::size_t kBlock = 256;
   constexpr std::size_t kLookahead = 8;
@@ -633,10 +774,7 @@ void ShardEngine::emit_pushes(ClientId c, ServerId sid, int /*t*/,
   // restricted to in-rectangle tiles (no wraparound) and excluding the
   // current server.
   const HexCoord origin = w_.grid.cell_at(predicted);
-  const int steps = static_cast<int>(std::ceil(
-                        cfg_.migration_radius_m /
-                        (kSqrt3 * cfg_.cell_radius_m))) +
-                    1;
+  const int steps = push_steps_;
   for (int dq = -steps; dq <= steps; ++dq) {
     for (int dr = -steps; dr <= steps; ++dr) {
       if (std::abs(dq + dr) > steps) continue;
@@ -649,41 +787,41 @@ void ShardEngine::emit_pushes(ClientId c, ServerId sid, int /*t*/,
         continue;
       const ServerId target = static_cast<ServerId>(row) * cfg_.tiles_x + col;
       if (target == sid) continue;
-      buf.events.push_back({.client = c,
-                            .kind = kEvPush,
-                            .p_end = prefix_[ci],
-                            .server = sid,
-                            .peer = target});
+      emit(buf, target,
+           {.client = c,
+            .kind = kEvPush,
+            .p_end = prefix_[ci],
+            .server = sid,
+            .peer = target});
     }
   }
 }
 
-void ShardEngine::detach_from(ClientId c, ServerId sid, int t,
+void ShardEngine::detach_from(Lane& lane, ClientId c, ServerId sid, int t,
                               std::int32_t reason) {
   --attached_[static_cast<std::size_t>(sid)];
-  --total_attached_;
   if (cfg_.policy == MigrationPolicy::kProactive) {
     if (cache_[static_cast<std::size_t>(sid)].find(c) != nullptr)
       schedule_expiry(sid, c, t + cfg_.ttl_intervals);
   }
-  journal({.interval = t,
-           .kind = obs::JournalEventKind::kDetach,
-           .client = c,
-           .server = sid,
-           .detail = reason});
+  journal(lane, {.interval = t,
+                 .kind = obs::JournalEventKind::kDetach,
+                 .client = c,
+                 .server = sid,
+                 .detail = reason});
 }
 
 void ShardEngine::schedule_expiry(ServerId sid, ClientId c, int expire) {
   auto& entry = cache_[static_cast<std::size_t>(sid)][c];
   if (expire > entry.expire) {
     entry.expire = expire;
-    wheel_[static_cast<std::size_t>(expire) % wheel_.size()].push_back(
-        {sid, c});
+    auto& wheel = owner(sid).wheel;
+    wheel[static_cast<std::size_t>(expire) % wheel.size()].push_back({sid, c});
   }
 }
 
-void ShardEngine::cache_store(ServerId sid, ClientId c, int new_prefix,
-                              int t) {
+void ShardEngine::cache_store(Lane& lane, ServerId sid, ClientId c,
+                              int new_prefix, int t) {
   if (cfg_.policy != MigrationPolicy::kProactive) return;
   const auto si = static_cast<std::size_t>(sid);
   int p = new_prefix;
@@ -691,9 +829,8 @@ void ShardEngine::cache_store(ServerId sid, ClientId c, int new_prefix,
     const CacheEntry* cur = cache_[si].find(c);
     const int old_prefix = cur != nullptr ? cur->prefix : 0;
     if (new_prefix > old_prefix) {
-      p = admit(sid, c, old_prefix, new_prefix, t);
-      if (p < new_prefix &&
-          server_[static_cast<std::size_t>(c)] == sid) {
+      p = admit(lane, sid, c, old_prefix, new_prefix, t);
+      if (p < new_prefix && server_of(c) == sid) {
         // The owner's own store was trimmed: sync the SoA upload state back
         // down so the client keeps re-offering the refused suffix instead of
         // believing it is resident.
@@ -706,147 +843,162 @@ void ShardEngine::cache_store(ServerId sid, ClientId c, int new_prefix,
   if (p > entry.prefix) {
     const Bytes added = w_.prefix_bytes[static_cast<std::size_t>(p)] -
                         w_.prefix_bytes[entry.prefix];
-    journal({.interval = t,
-             .kind = obs::JournalEventKind::kCacheStore,
-             .client = c,
-             .server = sid,
-             .bytes = added,
-             .aux = p - entry.prefix});
+    journal(lane, {.interval = t,
+                   .kind = obs::JournalEventKind::kCacheStore,
+                   .client = c,
+                   .server = sid,
+                   .bytes = added,
+                   .aux = p - entry.prefix});
     res_.grow(si, c, entry.prefix, p);
     entry.prefix = static_cast<std::uint16_t>(p);
   }
 }
 
-int ShardEngine::admit(ServerId sid, ClientId c, int old_prefix, int want,
-                       int t) {
-  // Budget admission for one tile cache, Phase B only. Evicts detached
-  // entries — largest resident prefix first (the lowest marginal
-  // latency-saved-per-byte on the shared concave latency-by-prefix curve),
-  // ties to the highest client id — until the incoming delta fits, then
-  // trims the admission to the longest prefix the remaining room allows.
-  // Pure function of serial Phase B state, so identical across every
-  // shard/thread count.
+int ShardEngine::admit(Lane& lane, ServerId sid, ClientId c, int old_prefix,
+                       int want, int t) {
+  // Budget admission for one tile cache, in the tile's own Phase B task.
+  // Evicts detached entries — largest resident prefix first (the lowest
+  // marginal latency-saved-per-byte on the shared concave latency-by-prefix
+  // curve), ties to the highest client id — until the incoming delta fits,
+  // then trims the admission to the longest prefix the remaining room
+  // allows. The pin reads server slots other shards may reset (shedding),
+  // but only this tile's shard can move a slot onto or off `sid`, so the
+  // outcome is the same at every shard/thread count.
   const auto si = static_cast<std::size_t>(sid);
   res_.evict_for(
       si, old_prefix, want,
       [&](ClientId vc) {  // the caller and attached owners stay
-        return vc == c || server_[static_cast<std::size_t>(vc)] == sid;
+        return vc == c || server_of(vc) == sid;
       },
       [&](ClientId vc, int vprefix, Bytes vbytes) {
         cache_[si].erase(vc);
-        ++metrics_.cache_evictions;
+        ++lane.tally.cache_evictions;
         ++acc_[si].cache_evictions;
-        journal({.interval = t,
-                 .kind = obs::JournalEventKind::kCacheEvict,
-                 .client = vc,
-                 .server = sid,
-                 .bytes = vbytes,
-                 .aux = vprefix});
+        journal(lane, {.interval = t,
+                       .kind = obs::JournalEventKind::kCacheEvict,
+                       .client = vc,
+                       .server = sid,
+                       .bytes = vbytes,
+                       .aux = vprefix});
       });
   const int p = res_.fit(si, old_prefix, want);
   if (p < want) {
-    ++metrics_.cache_partial_stores;
+    ++lane.tally.cache_partial_stores;
     ++acc_[si].cache_partial_stores;
-    journal({.interval = t,
-             .kind = obs::JournalEventKind::kCachePartial,
-             .client = c,
-             .server = sid,
-             .bytes = w_.prefix_bytes[static_cast<std::size_t>(want)] -
-                      w_.prefix_bytes[static_cast<std::size_t>(p)],
-             .aux = want - p});
+    journal(lane, {.interval = t,
+                   .kind = obs::JournalEventKind::kCachePartial,
+                   .client = c,
+                   .server = sid,
+                   .bytes = w_.prefix_bytes[static_cast<std::size_t>(want)] -
+                            w_.prefix_bytes[static_cast<std::size_t>(p)],
+                   .aux = want - p});
   }
   return p;
 }
 
-void ShardEngine::apply_event(const Event& e, int t) {
+void ShardEngine::apply_event(Lane& lane, const Event& e, bool shed, int t) {
   switch (e.kind) {
+    case kEvDetach:
+      detach_from(lane, e.client, e.server, t,
+                  (e.flags & kFlagUnreachable) != 0 ? obs::kDetachUnreachable
+                                                    : obs::kDetachMoved);
+      break;
     case kEvOffline:
-      detach_from(e.client, e.server, t, obs::kDetachDisconnect);
+      detach_from(lane, e.client, e.server, t, obs::kDetachDisconnect);
       break;
     case kEvAttach: {
-      if (e.peer != kNoServer) detach_from(e.client, e.peer, t,
-                                           obs::kDetachMoved);
+      if (e.peer != kNoServer && owns(lane, e.peer))
+        detach_from(lane, e.client, e.peer, t, obs::kDetachMoved);
+      if (shed) {
+        apply_shed(lane, e, t);
+        break;
+      }
       ++attached_[static_cast<std::size_t>(e.server)];
-      ++total_attached_;
-      ++metrics_.server_changes;
+      Tally& tally = lane.tally;
+      ++tally.server_changes;
       RowAcc& row = acc_[static_cast<std::size_t>(e.server)];
       if (e.cls == 0) {
-        ++metrics_.hits;
+        ++tally.hits;
         ++row.hits;
       } else if (e.cls == 1) {
-        ++metrics_.partials;
+        ++tally.partials;
         ++row.partials;
       } else {
-        ++metrics_.misses;
+        ++tally.misses;
         ++row.misses;
       }
-      metrics_.cold_window_queries += e.queries;
+      tally.cold_window_queries += e.queries;
       row.cold_queries += e.queries;
       row.cold_latency += e.latency_sum;
       const bool degraded = (e.flags & kFlagDegraded) != 0;
       if (degraded) {
-        ++metrics_.degraded_attaches;
+        ++tally.degraded_attaches;
         ++row.degraded;
       }
       if (jr_ != nullptr) {
-        const std::uint64_t chain = jr_->begin_chain(e.client);
-        jr_->record({.interval = t,
-                     .kind = obs::JournalEventKind::kAttach,
-                     .chain = chain,
-                     .client = e.client,
-                     .server = e.server,
-                     .peer = e.peer});
-        jr_->record({.interval = t,
-                     .kind = degraded ? obs::JournalEventKind::kDegradedPlan
-                                      : obs::JournalEventKind::kPlan,
-                     .chain = chain,
-                     .client = e.client,
-                     .server = e.server,
-                     .detail = e.cls == 0   ? obs::kPlanHit
-                               : e.cls == 1 ? obs::kPlanPartial
-                                            : obs::kPlanMiss,
-                     .aux = K_ - e.p0});
+        journal(lane,
+                {.interval = t,
+                 .kind = obs::JournalEventKind::kAttach,
+                 .client = e.client,
+                 .server = e.server,
+                 .peer = e.peer},
+                kOpChainStart);
+        journal(lane,
+                {.interval = t,
+                 .kind = degraded ? obs::JournalEventKind::kDegradedPlan
+                                  : obs::JournalEventKind::kPlan,
+                 .client = e.client,
+                 .server = e.server,
+                 .detail = e.cls == 0   ? obs::kPlanHit
+                           : e.cls == 1 ? obs::kPlanPartial
+                                        : obs::kPlanMiss,
+                 .aux = K_ - e.p0},
+                kOpChained);
         if (e.queries > 0)
-          jr_->record({.interval = t,
-                       .kind = obs::JournalEventKind::kColdServe,
-                       .chain = chain,
-                       .client = e.client,
-                       .server = e.server,
-                       .aux = static_cast<std::int32_t>(e.queries),
-                       .value = e.latency_sum});
+          journal(lane,
+                  {.interval = t,
+                   .kind = obs::JournalEventKind::kColdServe,
+                   .client = e.client,
+                   .server = e.server,
+                   .aux = e.queries,
+                   .value = e.latency_sum},
+                  kOpChained);
       }
-      cache_store(e.server, e.client, e.p_end, t);
+      cache_store(lane, e.server, e.client, e.p_end, t);
       break;
     }
     case kEvUpload:
-      cache_store(e.server, e.client, e.p_end, t);
+      cache_store(lane, e.server, e.client, e.p_end, t);
       break;
     case kEvLocal: {
-      if (e.peer != kNoServer)
-        detach_from(e.client, e.peer, t, obs::kDetachUnreachable);
-      ++metrics_.unreachable_client_intervals;
-      metrics_.local_fallback_queries += e.queries;
-      metrics_.local_latency_sum_s += e.latency_sum;
+      if (e.peer != kNoServer && owns(lane, e.peer))
+        detach_from(lane, e.client, e.peer, t, obs::kDetachUnreachable);
+      ++lane.tally.unreachable_client_intervals;
+      lane.tally.local_fallback_queries += e.queries;
+      ++lane.tally.local_fallbacks;  // e.latency_sum == local_latency_sum_
       RowAcc& row = acc_[static_cast<std::size_t>(e.server)];
       row.local_queries += e.queries;
       row.local_latency += e.latency_sum;
       if (e.queries > 0)
-        journal({.interval = t,
-                 .kind = obs::JournalEventKind::kLocalFallback,
-                 .client = e.client,
-                 .server = e.server,
-                 .aux = static_cast<std::int32_t>(e.queries),
-                 .value = e.latency_sum});
+        journal(lane, {.interval = t,
+                       .kind = obs::JournalEventKind::kLocalFallback,
+                       .client = e.client,
+                       .server = e.server,
+                       .aux = e.queries,
+                       .value = e.latency_sum});
       break;
     }
     case kEvPush: {
+      // A shed client's pushes were planned against an attach that never
+      // happened, so they drop with it.
+      if (shed) break;
       if (ft_.backhaul_active() || ft_.server_down(e.peer)) {
-        push_faulted(e, t);
+        push_faulted(lane, e, t);
         break;
       }
       const CacheEntry* cur =
           cache_[static_cast<std::size_t>(e.peer)].find(e.client);
-      deliver_push(e.client, e.server, e.peer,
+      deliver_push(lane, e.client, e.server, e.peer,
                    cur != nullptr ? cur->prefix : 0, e.p_end, e.p_end, t);
       break;
     }
@@ -855,53 +1007,114 @@ void ShardEngine::apply_event(const Event& e, int t) {
   }
 }
 
-void ShardEngine::apply_events(int t) {
-  // K-way merge of the per-shard buffers in client-id order. Each client's
-  // events live contiguously in exactly one shard's buffer (its owner), so
-  // picking the shard with the smallest head client id and draining that
-  // client reconstructs the canonical global order regardless of how tiles
-  // were sharded.
-  const bool shedding = !shed_.empty();
-  std::vector<std::size_t> head(bufs_.size(), 0);
-  while (true) {
-    int best = -1;
-    ClientId best_client = std::numeric_limits<ClientId>::max();
-    for (std::size_t s = 0; s < bufs_.size(); ++s) {
-      if (head[s] >= bufs_[s].events.size()) continue;
-      const ClientId client = bufs_[s].events[head[s]].client;
-      if (client < best_client) {
-        best_client = client;
-        best = static_cast<int>(s);
-      }
-    }
-    if (best < 0) break;
-    auto& events = bufs_[static_cast<std::size_t>(best)].events;
-    auto& h = head[static_cast<std::size_t>(best)];
-    while (h < events.size() && events[h].client == best_client) {
+void ShardEngine::apply_lane(Lane& lane, int t) {
+  // Owner-computes Phase B: this shard's inbox is every source shard's
+  // outbox for it. Each outbox is in client-id order and each client's
+  // events sit in exactly one of them (its Phase A owner's), so picking the
+  // source with the smallest head client id and draining that client
+  // applies the inbox in canonical order. Every tile thus sees the same
+  // event subsequence, in the same order, as one global serial pass.
+  const auto d = static_cast<std::size_t>(lane.shard);
+  lane.cursors.clear();
+  for (const ShardBuf& buf : bufs_) {
+    const std::vector<Event>& in = buf.out[d];
+    if (!in.empty()) lane.cursors.emplace_back(in.data(), in.data() + in.size());
+  }
+  while (!lane.cursors.empty()) {
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < lane.cursors.size(); ++i)
+      if (lane.cursors[i].first->client < lane.cursors[best].first->client)
+        best = i;
+    auto& [at, end] = lane.cursors[best];
+    const ClientId c = at->client;
+    // Admission control refused this client's attach this interval.
+    const bool shed = !shed_.empty() &&
+                      std::binary_search(shed_.begin(), shed_.end(), c);
+    for (; at != end && at->client == c; ++at) {
       // Warm the cache-table slot the following event will touch while this
       // one applies; push events hit the peer's table, the rest the
-      // attach/upload server's.
-      if (h + 1 < events.size()) {
-        const Event& next = events[h + 1];
-        if (next.kind == kEvPush) {
-          cache_[static_cast<std::size_t>(next.peer)].prefetch(next.client);
-        } else if (next.server != kNoServer) {
-          cache_[static_cast<std::size_t>(next.server)].prefetch(next.client);
-        }
+      // server's.
+      if (at + 1 != end) {
+        const Event& next = at[1];
+        cache_[static_cast<std::size_t>(next.kind == kEvPush ? next.peer
+                                                             : next.server)]
+            .prefetch(next.client);
       }
-      const Event& e = events[h];
-      if (shedding &&
-          std::binary_search(shed_.begin(), shed_.end(), e.client)) {
-        // Admission control refused this client's attach. Its pushes were
-        // planned against an attach that never happened, so they drop with
-        // it.
-        if (e.kind == kEvAttach) apply_shed(e, t);
-      } else {
-        apply_event(e, t);
+      lane.key = (static_cast<std::uint64_t>(c) << 8) | at->ordinal;
+      apply_event(lane, *at, shed, t);
+    }
+    if (at == end)
+      lane.cursors.erase(lane.cursors.begin() +
+                         static_cast<std::ptrdiff_t>(best));
+  }
+}
+
+void ShardEngine::add_tally(Tally& tally) {
+  metrics_.server_changes += tally.server_changes;
+  metrics_.hits += tally.hits;
+  metrics_.partials += tally.partials;
+  metrics_.misses += tally.misses;
+  metrics_.cold_window_queries += tally.cold_window_queries;
+  metrics_.degraded_attaches += tally.degraded_attaches;
+  metrics_.attaches_shed += tally.attaches_shed;
+  metrics_.unreachable_client_intervals += tally.unreachable_client_intervals;
+  metrics_.local_fallback_queries += tally.local_fallback_queries;
+  for (long long i = 0; i < tally.local_fallbacks; ++i)
+    metrics_.local_latency_sum_s += local_latency_sum_;
+  metrics_.cache_evictions += tally.cache_evictions;
+  metrics_.cache_partial_stores += tally.cache_partial_stores;
+  metrics_.total_migrated_bytes += tally.total_migrated_bytes;
+  metrics_.migrations_truncated += tally.migrations_truncated;
+  tally = Tally{};
+}
+
+void ShardEngine::merge_lanes() {
+  for (Lane& lane : lanes_) {
+    add_tally(lane.tally);
+    for (const auto& [source, bytes] : lane.uplink) {
+      acc_[static_cast<std::size_t>(source)].uplink += bytes;
+      acc_[static_cast<std::size_t>(source)].orders += 1;
+    }
+    lane.uplink.clear();
+  }
+  // Side logs: each is nondecreasing in (client, ordinal) and no key occurs
+  // in two of them, so a k-way merge on the key replays every journal
+  // record and deferral in the canonical global order. The logs stay empty
+  // with the journal off and no fault firing.
+  std::vector<std::size_t> head(lanes_.size(), 0);
+  std::uint64_t chain = 0;
+  while (true) {
+    std::size_t best = lanes_.size();
+    for (std::size_t i = 0; i < lanes_.size(); ++i)
+      if (head[i] < lanes_[i].log.size() &&
+          (best == lanes_.size() ||
+           lanes_[i].log[head[i]].key < lanes_[best].log[head[best]].key))
+        best = i;
+    if (best == lanes_.size()) break;
+    const std::vector<SideEntry>& log = lanes_[best].log;
+    std::size_t& h = head[best];
+    for (const std::uint64_t key = log[h].key;
+         h < log.size() && log[h].key == key; ++h) {
+      obs::JournalEvent r = log[h].record;
+      switch (log[h].op) {
+        case kOpChainStart:
+          chain = jr_->begin_chain(r.client);
+          r.chain = chain;
+          jr_->record(r);
+          break;
+        case kOpChained:
+          r.chain = chain;
+          jr_->record(r);
+          break;
+        case kOpDefer:
+          park(r.client, r.server, r.peer, r.aux, r.bytes, r.interval);
+          break;
+        default:
+          jr_->record(r);
       }
-      ++h;
     }
   }
+  for (Lane& lane : lanes_) lane.log.clear();
 }
 
 void ShardEngine::fault_step(int t) {
@@ -943,7 +1156,7 @@ void ShardEngine::fault_step(int t) {
       entries.clear();
       res_.clear(static_cast<std::size_t>(sid));
       for (const ClientId c : dropped[i]) {
-        detach_from(c, sid, t, obs::kDetachCrash);
+        detach_from(serial_, c, sid, t, obs::kDetachCrash);
         ++metrics_.failure_evictions;
         const auto ci = static_cast<std::size_t>(c);
         server_[ci] = kNoServer;
@@ -958,14 +1171,14 @@ void ShardEngine::fault_step(int t) {
     ++metrics_.client_disconnect_events;
     const auto ci = static_cast<std::size_t>(c);
     if (server_[ci] != kNoServer) {
-      detach_from(c, server_[ci], t, obs::kDetachDisconnect);
+      detach_from(serial_, c, server_[ci], t, obs::kDetachDisconnect);
       server_[ci] = kNoServer;
       prefix_[ci] = 0;
       carry_[ci] = 0;
     }
   }
 
-  link_used_.clear();
+  for (Lane& lane : lanes_) lane.link_used.clear();
 }
 
 void ShardEngine::compute_shed() {
@@ -982,8 +1195,9 @@ void ShardEngine::compute_shed() {
   };
   std::vector<Cand> cand;
   for (const ShardBuf& buf : bufs_)
-    for (const Event& e : buf.events)
-      if (e.kind == kEvAttach) cand.push_back({e.server, e.p0, e.client});
+    for (const std::vector<Event>& out : buf.out)
+      for (const Event& e : out)
+        if (e.kind == kEvAttach) cand.push_back({e.server, e.p0, e.client});
   if (cand.empty()) return;
   std::sort(cand.begin(), cand.end(), [](const Cand& a, const Cand& b) {
     if (a.server != b.server) return a.server < b.server;
@@ -1004,43 +1218,45 @@ void ShardEngine::compute_shed() {
   std::sort(shed_.begin(), shed_.end());
 }
 
-void ShardEngine::apply_shed(const Event& e, int t) {
+void ShardEngine::apply_shed(Lane& lane, const Event& e, int t) {
   // Admission control refused this attach: undo Phase A's speculative SoA
-  // write and run the interval on the local fallback instead.
+  // write and run the interval on the local fallback instead. (The detach
+  // from the previous server was applied by its owning shard.)
   const auto ci = static_cast<std::size_t>(e.client);
-  server_[ci] = kNoServer;
+  std::atomic_ref<ServerId>(server_[ci]).store(kNoServer,
+                                               std::memory_order_relaxed);
   prefix_[ci] = 0;
   carry_[ci] = 0;
-  if (e.peer != kNoServer) detach_from(e.client, e.peer, t, obs::kDetachMoved);
-  ++metrics_.attaches_shed;
-  ++metrics_.unreachable_client_intervals;
-  metrics_.local_fallback_queries += local_queries_;
-  metrics_.local_latency_sum_s += local_latency_sum_;
+  ++lane.tally.attaches_shed;
+  ++lane.tally.unreachable_client_intervals;
+  lane.tally.local_fallback_queries += local_queries_;
+  ++lane.tally.local_fallbacks;
   RowAcc& row = acc_[static_cast<std::size_t>(e.server)];
   row.local_queries += local_queries_;
   row.local_latency += local_latency_sum_;
   if (jr_ != nullptr) {
-    const std::uint64_t chain = jr_->begin_chain(e.client);
-    jr_->record({.interval = t,
-                 .kind = obs::JournalEventKind::kAttachShed,
-                 .chain = chain,
-                 .client = e.client,
-                 .server = e.server,
-                 .peer = e.peer,
-                 .detail = attached_[static_cast<std::size_t>(e.server)],
-                 .aux = e.p0});
+    journal(lane,
+            {.interval = t,
+             .kind = obs::JournalEventKind::kAttachShed,
+             .client = e.client,
+             .server = e.server,
+             .peer = e.peer,
+             .detail = attached_[static_cast<std::size_t>(e.server)],
+             .aux = e.p0},
+            kOpChainStart);
     if (local_queries_ > 0)
-      jr_->record({.interval = t,
-                   .kind = obs::JournalEventKind::kLocalFallback,
-                   .chain = chain,
-                   .client = e.client,
-                   .server = e.server,
-                   .aux = static_cast<std::int32_t>(local_queries_),
-                   .value = local_latency_sum_});
+      journal(lane,
+              {.interval = t,
+               .kind = obs::JournalEventKind::kLocalFallback,
+               .client = e.client,
+               .server = e.server,
+               .aux = static_cast<std::int32_t>(local_queries_),
+               .value = local_latency_sum_},
+              kOpChained);
   }
 }
 
-void ShardEngine::push_faulted(const Event& e, int t) {
+void ShardEngine::push_faulted(Lane& lane, const Event& e, int t) {
   // Fault-path push: the target may be down, or a backhaul event may cap or
   // sever the link. Mirrors the trace-replay engine's push_layers: already
   // present layers cost nothing, a capacity too small for even one layer
@@ -1060,19 +1276,19 @@ void ShardEngine::push_faulted(const Event& e, int t) {
       ft_.server_down(e.peer) ? 0.0 : ft_.backhaul_factor(e.server, e.peer);
   if (factor <= 0.0) {
     if (bytes_needed > 0)
-      defer_push(e.client, e.server, e.peer, want, bytes_needed, t);
+      defer_push(lane, e.client, e.server, e.peer, want, bytes_needed, t);
     return;
   }
   int p = want;
   if (factor < 1.0 && bytes_needed > 0) {
     p = fit_degraded(e.server, e.peer, factor, old_prefix, want);
     if (p == old_prefix) {
-      ++metrics_.migrations_truncated;
-      defer_push(e.client, e.server, e.peer, want, bytes_needed, t);
+      ++lane.tally.migrations_truncated;
+      defer_push(lane, e.client, e.server, e.peer, want, bytes_needed, t);
       return;
     }
   }
-  deliver_push(e.client, e.server, e.peer, old_prefix, p, want, t);
+  deliver_push(lane, e.client, e.server, e.peer, old_prefix, p, want, t);
 }
 
 int ShardEngine::fit_degraded(ServerId source, ServerId target, double factor,
@@ -1082,7 +1298,7 @@ int ShardEngine::fit_degraded(ServerId source, ServerId target, double factor,
   // Returns old_prefix when not even one more layer fits.
   const auto cap = static_cast<Bytes>(factor * cfg_.backhaul_bytes_per_sec *
                                       cfg_.interval_s);
-  Bytes& used = link_used_[link_key(source, target)];
+  Bytes& used = owner(target).link_used[link_key(source, target)];
   const Bytes base = w_.prefix_bytes[static_cast<std::size_t>(old_prefix)];
   int p = old_prefix;
   while (p < want &&
@@ -1093,11 +1309,12 @@ int ShardEngine::fit_degraded(ServerId source, ServerId target, double factor,
   return p;
 }
 
-void ShardEngine::deliver_push(ClientId c, ServerId source, ServerId target,
-                               int old_prefix, int new_prefix, int want,
-                               int t) {
+void ShardEngine::deliver_push(Lane& lane, ClientId c, ServerId source,
+                               ServerId target, int old_prefix,
+                               int new_prefix, int want, int t) {
   int p = new_prefix;
-  if (res_.enabled() && p > old_prefix) p = admit(target, c, old_prefix, p, t);
+  if (res_.enabled() && p > old_prefix)
+    p = admit(lane, target, c, old_prefix, p, t);
   auto& entry = cache_[static_cast<std::size_t>(target)][c];
   const Bytes bytes =
       p > old_prefix
@@ -1109,27 +1326,48 @@ void ShardEngine::deliver_push(ClientId c, ServerId source, ServerId target,
     entry.prefix = static_cast<std::uint16_t>(p);
   }
   schedule_expiry(target, c, t + cfg_.ttl_intervals);
-  acc_[static_cast<std::size_t>(source)].uplink += bytes;
-  acc_[static_cast<std::size_t>(source)].orders += 1;
+  if (owns(lane, source)) {
+    acc_[static_cast<std::size_t>(source)].uplink += bytes;
+    acc_[static_cast<std::size_t>(source)].orders += 1;
+  } else {
+    lane.uplink.emplace_back(source, bytes);
+  }
   acc_[static_cast<std::size_t>(target)].downlink += bytes;
-  metrics_.total_migrated_bytes += bytes;
-  journal({.interval = t,
-           .kind = obs::JournalEventKind::kMigrationPushed,
-           .client = c,
-           .server = source,
-           .peer = target,
-           .bytes = bytes,
-           .aux = std::max(0, p - old_prefix)});
+  lane.tally.total_migrated_bytes += bytes;
+  journal(lane, {.interval = t,
+                 .kind = obs::JournalEventKind::kMigrationPushed,
+                 .client = c,
+                 .server = source,
+                 .peer = target,
+                 .bytes = bytes,
+                 .aux = std::max(0, p - old_prefix)});
   // A degraded link carried only part of the order: park the rest.
   if (new_prefix < want)
-    defer_push(c, source, target, want,
+    defer_push(lane, c, source, target, want,
                w_.prefix_bytes[static_cast<std::size_t>(want)] -
                    w_.prefix_bytes[static_cast<std::size_t>(new_prefix)],
                t);
 }
 
-void ShardEngine::defer_push(ClientId c, ServerId source, ServerId target,
-                             int want, Bytes bytes, int t) {
+void ShardEngine::defer_push(Lane& lane, ClientId c, ServerId source,
+                             ServerId target, int want, Bytes bytes, int t) {
+  // The retry queue caps each source's backlog and journals, so a shard
+  // task logs the deferral for the canonical-order replay.
+  if (lane.shard < 0) {
+    park(c, source, target, want, bytes, t);
+  } else {
+    lane.log.push_back({lane.key, kOpDefer,
+                        {.interval = t,
+                         .client = c,
+                         .server = source,
+                         .peer = target,
+                         .bytes = bytes,
+                         .aux = want}});
+  }
+}
+
+void ShardEngine::park(ClientId c, ServerId source, ServerId target, int want,
+                       Bytes bytes, int t) {
   if (retry_.defer(c, source, target, static_cast<std::uint16_t>(want), bytes,
                    t))
     acc_[static_cast<std::size_t>(source)].deferred += bytes;
@@ -1164,16 +1402,19 @@ void ShardEngine::retry_deferred(int t) {
       retry_.fail(order, t);
       continue;
     }
-    deliver_push(order.client, order.source, order.target, old_prefix, p,
-                 want, t);
+    deliver_push(serial_, order.client, order.source, order.target,
+                 old_prefix, p, want, t);
   }
+  add_tally(serial_.tally);
 }
 
-void ShardEngine::expire_entries(int t) {
-  auto& slot = wheel_[static_cast<std::size_t>(t) % wheel_.size()];
+void ShardEngine::expire_lane(Lane& lane, int t) {
+  auto& slot = lane.wheel[static_cast<std::size_t>(t) % lane.wheel.size()];
   // Canonical (server, client) order regardless of insertion history — a
-  // resumed run rebuilds the wheel from sorted snapshot entries, so the
-  // processing order must not depend on how entries were queued.
+  // resumed run rebuilds the wheels from sorted snapshot entries, so the
+  // processing order must not depend on how entries were queued. Shards
+  // are ascending tile ranges, so the shards' records concatenated in shard
+  // order are in global (server, client) order.
   std::sort(slot.begin(), slot.end());
   slot.erase(std::unique(slot.begin(), slot.end()), slot.end());
   for (const auto& [sid, c] : slot) {
@@ -1182,11 +1423,12 @@ void ShardEngine::expire_entries(int t) {
     if (entry == nullptr) continue;
     if (server_[static_cast<std::size_t>(c)] == sid) continue;  // kept alive
     if (entry->expire > t) continue;  // refreshed since queued
-    journal({.interval = t,
-             .kind = obs::JournalEventKind::kCacheExpire,
-             .client = c,
-             .server = sid,
-             .aux = entry->prefix});
+    if (jr_ != nullptr)
+      lane.expired.push_back({.interval = t,
+                              .kind = obs::JournalEventKind::kCacheExpire,
+                              .client = c,
+                              .server = sid,
+                              .aux = entry->prefix});
     res_.erase(static_cast<std::size_t>(sid), c, entry->prefix);
     entries.erase(c);
   }
@@ -1194,19 +1436,25 @@ void ShardEngine::expire_entries(int t) {
 }
 
 void ShardEngine::finish_interval(int t) {
-  expire_entries(t);
+  par::parallel_for(lanes_.size(),
+                    [&](std::size_t d) { expire_lane(lanes_[d], t); });
+  for (Lane& lane : lanes_) {
+    for (const obs::JournalEvent& e : lane.expired) jr_->record(e);
+    lane.expired.clear();
+  }
 
   for (const ShardBuf& buf : bufs_) {
     metrics_.offline_client_intervals += buf.offline;
   }
-  metrics_.attached_client_intervals += total_attached_;
 
   const int num_servers = cfg_.num_servers();
   std::int64_t interval_total = 0;
+  long long attached_total = 0;
   int under_100 = 0;
   Bytes resident_total = 0;
   for (int s = 0; s < num_servers; ++s) {
     const RowAcc& acc = acc_[static_cast<std::size_t>(s)];
+    attached_total += attached_[static_cast<std::size_t>(s)];
     if (res_.enabled()) {
       PERDNN_CHECK_MSG(res_.bytes(static_cast<std::size_t>(s)) <= res_.budget(),
                        "cache budget invariant violated on server " << s);
@@ -1247,6 +1495,7 @@ void ShardEngine::finish_interval(int t) {
       ts_->append(row);
     }
   }
+  metrics_.attached_client_intervals += attached_total;
   if (res_.enabled())
     metrics_.peak_cache_bytes =
         std::max(metrics_.peak_cache_bytes, resident_total);
@@ -1314,7 +1563,6 @@ void ShardEngine::restore_from(const snapshot::SimSnapshot& snap) {
   offline_until_ = s.offline_until;
 
   std::fill(attached_.begin(), attached_.end(), 0);
-  total_attached_ = 0;
   for (std::size_t c = 0; c < n; ++c) {
     tile_[c] = w_.tile_at({x_[c], y_[c]});
     if (server_[c] != kNoServer) {
@@ -1322,7 +1570,6 @@ void ShardEngine::restore_from(const snapshot::SimSnapshot& snap) {
       if (sid >= attached_.size())
         throw snapshot::SnapshotError("snapshot: server id out of range");
       ++attached_[sid];
-      ++total_attached_;
     }
   }
 
@@ -1333,7 +1580,8 @@ void ShardEngine::restore_from(const snapshot::SimSnapshot& snap) {
     cache_[sid].clear();
     res_.clear(sid);
   }
-  for (auto& slot : wheel_) slot.clear();
+  for (Lane& lane : lanes_)
+    for (auto& slot : lane.wheel) slot.clear();
   const int start = snap.next_interval;
   for (std::size_t i = 0; i < s.entry_server.size(); ++i) {
     const auto sid = s.entry_server[i];
@@ -1350,9 +1598,12 @@ void ShardEngine::restore_from(const snapshot::SimSnapshot& snap) {
     entry.prefix = static_cast<std::uint16_t>(s.entry_prefix[i]);
     entry.expire = s.entry_expire[i];
     res_.grow(static_cast<std::size_t>(sid), c, 0, entry.prefix);
-    if (server_[static_cast<std::size_t>(c)] != sid && entry.expire >= start)
-      wheel_[static_cast<std::size_t>(entry.expire) % wheel_.size()]
-          .push_back({sid, c});
+    if (server_[static_cast<std::size_t>(c)] != sid &&
+        entry.expire >= start) {
+      auto& wheel = owner(sid).wheel;
+      wheel[static_cast<std::size_t>(entry.expire) % wheel.size()].push_back(
+          {sid, c});
+    }
   }
   if (res_.enabled())
     for (std::size_t sid = 0; sid < cache_.size(); ++sid)
@@ -1520,7 +1771,7 @@ SimulationMetrics ShardEngine::run() {
 
     // Phase A: pure per-shard walks against frozen shared state.
     for (auto& buf : bufs_) {
-      buf.events.clear();
+      for (auto& out : buf.out) out.clear();
       buf.offline = 0;
       buf.disconnects = 0;
     }
@@ -1530,12 +1781,15 @@ SimulationMetrics ShardEngine::run() {
     auto t2 = now();
     tm_phase_a += secs(t1, t2);
 
-    // Phase B: canonical-order exchange and every shared-state mutation.
+    // Phase B: each tile shard applies its inbox in canonical order, then
+    // the order-sensitive effects merge serially and the retries run.
     for (auto& acc : acc_) acc = RowAcc{};
     for (const ShardBuf& buf : bufs_)
       metrics_.client_disconnect_events += buf.disconnects;
     compute_shed();
-    apply_events(t);
+    par::parallel_for(lanes_.size(),
+                      [&](std::size_t d) { apply_lane(lanes_[d], t); });
+    merge_lanes();
     retry_deferred(t);
     auto t3 = now();
     tm_apply += secs(t2, t3);

@@ -12,15 +12,18 @@
 //   of (frozen state, client id, interval) — never of which shard or thread
 //   processed it. Everything that must touch shared state is emitted as a
 //   compact event (re-attachment, upload progress, dispatcher push, offline
-//   detach) into the shard's buffer, in client-id order.
+//   detach) into the outbox for the shard owning the tile it mutates, in
+//   client-id order.
 //
-//   Phase B (serial): shard buffers are k-way merged in canonical client-id
-//   order — the same merge-in-submission-order trick the trace-replay
-//   simulator uses for cold-start windows — and every mutation (cache
-//   prefix maxima, TTL wheel, attach counts, metrics, timeseries rows,
-//   journal lines) is applied in that canonical order. Cache updates are
-//   prefix maxima over the canonical upload order, so they are commutative
-//   anyway; double accumulations happen only here, in one fixed order.
+//   Phase B (parallel over shards, owner-computes): each shard applies its
+//   inbox — every shard's outbox for it, merged on client id — in canonical
+//   client-id order, mutating only its own tiles' server-side state (cache
+//   prefix maxima, TTL wheel, attach counts, per-server rows), so every
+//   tile sees the same event sequence as one global serial pass would.
+//   What must follow one global order — journal lines, retry-queue
+//   deferrals, run metrics — goes to per-shard side logs and tallies that a
+//   serial pass merges in (client, event ordinal) order after the fan-out;
+//   the retry pass and the timeseries rows stay serial.
 //
 // Consequence: metrics, the streamed timeseries CSV and the streamed
 // journal JSONL are byte-identical across thread counts, shard counts, the
@@ -46,7 +49,8 @@ struct SimSnapshot;
 }  // namespace snapshot
 
 struct ShardRunOptions {
-  /// Number of tile shards phase A fans out over. Byte-identity-neutral.
+  /// Number of tile shards phases A and B fan out over.
+  /// Byte-identity-neutral.
   int num_shards = 1;
   /// Streamed timeseries CSV destination; empty disables recording.
   std::string timeseries_path;

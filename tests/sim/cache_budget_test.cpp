@@ -469,6 +469,50 @@ TEST_F(ShardCacheBudgetTest, CrashOnPressuredTileIsByteIdenticalAndResumes) {
   EXPECT_EQ(baseline.journal, resumed.journal);
 }
 
+TEST_F(ShardCacheBudgetTest, AdmissionSheddingUnderBudgetIsByteIdentical) {
+  // Budget eviction and admission shedding in the same run: an eviction
+  // walk pins entries whose owner is attached to the tile (read from the
+  // clients' live server slots), while shedding resets the server slot of a
+  // refused client on another tile in the same interval.
+  ShardWorldConfig config = world_->config;
+  config.admission_max_attached = 4;
+  config.flash_crowd_tiles = 2;
+  config.flash_crowd_multiplier = 8.0;
+  const ShardWorld crowded = build_shard_world(config);
+
+  const RunResult baseline = run_at(crowded, 1, 1);
+  EXPECT_GT(baseline.stats.attaches_shed, 0);
+  EXPECT_GT(baseline.stats.cache_evictions, 0);
+  const auto evictions = csv_column(baseline.timeseries, "cache_evictions");
+  const auto local = csv_column(baseline.timeseries, "local_queries");
+  ASSERT_EQ(evictions.size(), local.size());
+  bool both = false;
+  for (std::size_t i = 0; i < evictions.size(); ++i)
+    both = both || (evictions[i] > 0 && local[i] > 0);
+  EXPECT_TRUE(both) << "no tile both evicted and served shed clients locally "
+                       "in one interval";
+  EXPECT_NE(baseline.journal.find("\"kind\":\"attach_shed\""),
+            std::string::npos);
+
+  for (const int shards : {1, 4, 16}) {
+    for (const int threads : {1, 2, 8}) {
+      const RunResult r = run_at(crowded, threads, shards);
+      EXPECT_EQ(baseline.metrics, r.metrics)
+          << "threads=" << threads << " shards=" << shards;
+      EXPECT_EQ(baseline.timeseries, r.timeseries)
+          << "threads=" << threads << " shards=" << shards;
+      EXPECT_EQ(baseline.journal, r.journal)
+          << "threads=" << threads << " shards=" << shards;
+    }
+  }
+
+  // Checkpointed on 16 shards, resumed on 4.
+  const RunResult resumed = kill_and_resume(crowded, 5);
+  EXPECT_EQ(baseline.metrics, resumed.metrics);
+  EXPECT_EQ(baseline.timeseries, resumed.timeseries);
+  EXPECT_EQ(baseline.journal, resumed.journal);
+}
+
 TEST_F(ShardCacheBudgetTest, ResumeRejectsDuplicateCacheEntry) {
   snapshot::SimSnapshot snap = capture_mid_run();
   snapshot::ShardSimState& s = snap.shard;

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "common/fastpath.hpp"
@@ -299,6 +300,25 @@ TEST_F(ShardDeterminismTest, EmptyTileShardsStillEmitDenseRows) {
   // `# schema=`, `# model=`, header, then one row per (interval, server).
   EXPECT_EQ(lines, 3 + static_cast<long long>(config.num_intervals) *
                            config.num_servers());
+}
+
+TEST_F(ShardDeterminismTest, WidestPushWindowIsByteIdenticalWiderRejected) {
+  // Eight hex rings (radius up to 7 * sqrt(3) cell radii) is the widest push
+  // window a client's 8-bit event ordinals can order. At that radius a
+  // crossing client pushes to nearly every tile of this small world, across
+  // every shard boundary, so the cross-shard merge orders the most events.
+  ShardWorld wide = *world_;
+  wide.config.migration_radius_m = 600.0;
+  const RunResult baseline = run_at(wide, 1, 1);
+  for (const int shards : {4, 16}) {
+    const RunResult r = run_at(wide, 4, shards);
+    EXPECT_EQ(baseline.metrics, r.metrics) << "shards=" << shards;
+    EXPECT_EQ(baseline.timeseries, r.timeseries) << "shards=" << shards;
+    EXPECT_EQ(baseline.journal, r.journal) << "shards=" << shards;
+  }
+
+  wide.config.migration_radius_m = 700.0;
+  EXPECT_THROW(run_sharded_simulation(wide), std::logic_error);
 }
 
 }  // namespace

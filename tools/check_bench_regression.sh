@@ -29,6 +29,8 @@
 # BENCH_SCALE_JSON=path/to/result.json (produced by `bench_scale --json`) and
 # it is compared against the committed BENCH_scale.json baseline —
 # clients_per_sec must stay >= 50% of baseline and peak_rss_bytes <= 150%.
+# Both runs must have the same shape (clients, servers, intervals, shards,
+# threads, model); a result of another shape is not comparable and exits 2.
 # The 1M-client run takes minutes, so it is never executed here implicitly;
 # without BENCH_SCALE_JSON the scale gate is skipped with a note.
 #
@@ -205,6 +207,16 @@ elif [ ! -f "$SCALE_BASELINE" ]; then
   cp "$BENCH_SCALE_JSON" "$SCALE_BASELINE"
   echo "scale baseline written to $SCALE_BASELINE — commit it"
 else
+  # Like with like: a 4-thread run against a 1-thread baseline would hide a
+  # single-thread regression behind the parallel speed-up.
+  for key in clients servers intervals shards threads model; do
+    cur_v="$(json_field "$BENCH_SCALE_JSON" "$key")"
+    base_v="$(json_field "$SCALE_BASELINE" "$key")"
+    if [ -z "$cur_v" ] || [ "$cur_v" != "$base_v" ]; then
+      echo "error: scale result $key=${cur_v:-?} differs from baseline $key=${base_v:-?} — rerun bench_scale with the baseline's shape" >&2
+      exit 2
+    fi
+  done
   cur_cps="$(scale_field "$BENCH_SCALE_JSON" clients_per_sec)"
   base_cps="$(scale_field "$SCALE_BASELINE" clients_per_sec)"
   cur_rss="$(scale_field "$BENCH_SCALE_JSON" peak_rss_bytes)"

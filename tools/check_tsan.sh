@@ -2,7 +2,9 @@
 # Builds the repo with ThreadSanitizer (-DPERDNN_SANITIZE=thread) and runs
 # the tests that exercise the parallel runtime under a real thread pool:
 # the parallel_for/parallel_map unit tests, the simulator (including the
-# 1/2/8-thread determinism gate), and the multi-threaded metrics tests.
+# 1/2/8-thread determinism gate), the multi-threaded metrics tests, and the
+# sharded engine's suites — its Phase A and Phase B both fan out over tile
+# shards, with journal, faults, budget, shedding and resume engaged.
 #
 # A second configuration with -DPERDNN_SIMD=OFF keeps the scalar fallback
 # of the batched forest kernels sanitizer-tested: that build contains no
@@ -25,7 +27,7 @@ export PERDNN_THREADS=4
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'Parallel|Simulator|Metrics'
+  -R 'Parallel|Simulator|Metrics|ShardDeterminism|ShardFault|ShardCacheBudget|ShardGolden|TileResidency'
 
 # Scalar-fallback leg: same sanitizer, SIMD compiled out.
 SCALAR_DIR="${BUILD_DIR}-scalar"
